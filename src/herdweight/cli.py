@@ -29,14 +29,16 @@ from .dataset import (
     save_dataset_csv,
 )
 from .errors import ConfigError, HerdWeightError, MissingWeight
-from .evaluation import cross_validate, ensemble_size_sweep
+from .evaluation import kfold_split, nested_cv
 from .features import extract_feature_vector
+from .files import open_fresh
 from .fusion import simulate_trajectory
 from .pointcloud import detect_format, load_point_cloud, save_point_cloud
 from .stacking import (
     ensemble_from_dict,
     ensemble_to_dict,
     fit_stack,
+    oof_predictions,
     predict_stack,
     rank_base_models,
 )
@@ -59,6 +61,11 @@ def _prepare_out(args) -> Path:
 
 def _float_repr(x: float) -> str:
     return repr(float(x))
+
+
+def _write_json(payload: dict, path: Path) -> None:
+    with open_fresh(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _clean_one(task: tuple) -> tuple:
@@ -110,7 +117,7 @@ def cmd_clean(args) -> int:
             except (HerdWeightError, FileNotFoundError) as exc:
                 failures.append((f, exc))
 
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
+    with open_fresh(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["animal_id", "points_before", "points_after", "planes_removed"])
         writer.writerows(rows)
@@ -191,7 +198,7 @@ def _parse_sweep(text: str, n_specs: int) -> list[int]:
 
 
 def _write_sweep_csv(rows, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_fresh(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "r2_mean", "r2_std", "mae_mean", "mae_std", "mape_mean", "mape_std"])
         for r in rows:
@@ -200,7 +207,7 @@ def _write_sweep_csv(rows, path: Path) -> None:
 
 
 def _write_ranking_csv(ranking, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_fresh(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "model", "r2", "mae_kg", "mape_pct"])
         for i, e in enumerate(ranking.entries, start=1):
@@ -215,37 +222,32 @@ def cmd_cv(args) -> int:
         "stacking.m_top": args.m_top,
         "stacking.alpha": args.alpha,
     })
+    m_values = _parse_sweep(args.sweep, len(config.specs)) if args.sweep else []
     dataset = load_dataset_csv(args.dataset)
     X, y = dataset.matrices()
     out = _prepare_out(args)
 
-    result = cross_validate(X, y, config.specs, m_top=config.m_top, k=config.k,
-                            inner_k=config.inner_k, seed=config.seed, alpha=config.alpha,
-                            audit=args.audit, jobs=args.jobs)
+    # One nested pass: the report, the ranking and the sweep all read it.
+    cv = nested_cv(X, y, config.specs, k=config.k, inner_k=config.inner_k, seed=config.seed,
+                   m_top=config.m_top, audit=args.audit, jobs=args.jobs)
+    audit = cv.audit() if args.audit else None
     report = {
         "n_samples": len(dataset),
         "k": config.k,
         "inner_k": config.inner_k,
         "seed": config.seed,
         "m_top": config.m_top,
-        "metrics": result.report.to_json_dict(),
+        "metrics": cv.metrics(config.m_top, config.alpha).to_json_dict(),
     }
-    if result.audit is not None:
-        report["audit"] = {"n_fits": result.audit.n_fits, "violations": list(result.audit.violations)}
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
-
-    ranking = rank_base_models(X, y, config.specs, k=config.k, seed=config.seed)
-    _write_ranking_csv(ranking, out / "ranking.csv")
-
-    if args.sweep:
-        m_values = _parse_sweep(args.sweep, len(config.specs))
-        rows = ensemble_size_sweep(X, y, config.specs, m_values, k=config.k,
-                                   inner_k=config.inner_k, seed=config.seed, alpha=config.alpha)
-        _write_sweep_csv(rows, out / "sweep.csv")
+    if audit is not None:
+        report["audit"] = {"n_fits": audit.n_fits, "violations": list(audit.violations)}
+    _write_json(report, out / "report.json")
+    _write_ranking_csv(cv.ranking(), out / "ranking.csv")
+    if m_values:
+        _write_sweep_csv(cv.sweep(m_values, config.alpha), out / "sweep.csv")
     write_resolved_config(config, out)
-    if result.audit is not None and not result.audit.ok:
-        for v in result.audit.violations:
+    if audit is not None and not audit.ok:
+        for v in audit.violations:
             print(f"leakage: {v}", file=sys.stderr)
         return 1
     return 0
@@ -261,14 +263,15 @@ def cmd_train(args) -> int:
     dataset = load_dataset_csv(args.dataset)
     X, y = dataset.matrices()
     out = _prepare_out(args)
-    ranking = rank_base_models(X, y, config.specs, k=config.inner_k, seed=config.seed)
-    ensemble = fit_stack(X, y, config.specs, ranking, m_top=config.m_top,
-                         k=config.inner_k, seed=config.seed, alpha=config.alpha)
+    folds = kfold_split(len(y), config.inner_k, config.seed)
+    oof = oof_predictions(X, y, config.specs, folds)
+    ranking = rank_base_models(X, y, config.specs, folds=folds, oof=oof)
+    ensemble = fit_stack(X, y, config.specs, ranking, m_top=config.m_top, folds=folds, oof=oof,
+                         alpha=config.alpha)
     payload = ensemble_to_dict(ensemble)
     payload["n_features"] = X.shape[1]
     payload["tool_version"] = __version__
-    (out / "model.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                    encoding="utf-8")
+    _write_json(payload, out / "model.json")
     _write_ranking_csv(ranking, out / "ranking.csv")
     write_resolved_config(config, out)
     return 0
@@ -281,7 +284,7 @@ def cmd_predict(args) -> int:
     ids, X = load_features_csv(args.features)
     out = _prepare_out(args)
     preds = predict_stack(ensemble, X)
-    with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
+    with open_fresh(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["animal_id", "predicted_weight_kg"])
         for animal_id, p in zip(ids, preds):

@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .cleaning import RansacParams
 from .errors import ConfigError
+from .files import open_fresh
 from .fusion import (
     FusionParams,
     SimulationConfig,
@@ -249,6 +250,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
 def write_resolved_config(config: PipelineConfig, out_dir: str | Path) -> Path:
     """Drop config.resolved.json (with tool version stamp) into out_dir."""
     out = Path(out_dir) / "config.resolved.json"
-    out.write_text(json.dumps(config.resolved_dict(), indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    with open_fresh(out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(config.resolved_dict(), indent=2, sort_keys=True) + "\n")
     return out

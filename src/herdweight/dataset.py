@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import IoError, NonFiniteInput, NonPositiveTarget, ParseError
 from .features import FEATURE_NAMES
+from .files import open_fresh
 
 DATASET_HEADER = ("animal_id", *FEATURE_NAMES, "weight_kg")
 WEIGHTS_HEADER = ("animal_id", "weight_kg")
@@ -53,7 +54,7 @@ class HerdDataset:
 
 def save_dataset_csv(dataset: HerdDataset, path: str | Path) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with open_fresh(path, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(DATASET_HEADER)
             for i, animal_id in enumerate(dataset.ids):

@@ -4,16 +4,23 @@ The headline protocol is nested: an outer k-fold loop scores the full
 stacking procedure (rank on inner folds, build meta-features, fit the
 combiner, refit bases) on held-out folds it never touched, and the inner
 fold assignment is derived deterministically from (seed, outer fold).
-Reported spread is the population std over fold values.
+Each outer fold is fitted once (``nested_cv``); the report at any stack
+size, the ensemble-size sweep and the outer-fold ranking are all read
+from that one pass. Reported spread is the population std over fold
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidK, LengthMismatch, NonPositiveTarget, ZeroVarianceTarget
+
+if TYPE_CHECKING:
+    from .stacking import ModelRanking
 
 __all__ = [
     "FoldAssignment",
@@ -24,8 +31,11 @@ __all__ = [
     "AuditReport",
     "CVResult",
     "SweepRow",
+    "OuterFold",
+    "NestedCV",
     "kfold_split",
     "compute_metrics",
+    "nested_cv",
     "cross_validate",
     "cross_validate_model",
     "ensemble_size_sweep",
@@ -172,33 +182,143 @@ def _inner_seed(seed: int, outer_fold: int) -> int:
     return int(np.random.SeedSequence([seed, outer_fold]).generate_state(1)[0])
 
 
-def _outer_fold_task(args) -> tuple[int, MetricTriple, int, tuple[str, ...]]:
+@dataclass(frozen=True)
+class OuterFold:
+    """One outer fold of nested CV, with every base fit it needs done once.
+
+    ``oof`` holds the inner out-of-fold predictions of every spec on the
+    outer-train rows (columns in spec order), ``ranking`` ranks the specs
+    on them, and ``base_test`` holds every spec refit on all outer-train
+    rows and predicted on the held-out rows (columns in rank order). A
+    stack of any size is scored from these with no further base fit.
+    ``log``, kept for the leakage audit, holds the fits of the top-m_top
+    stack: inner out-of-fold fits, combiner and refits.
+    """
+
+    train_ids: np.ndarray
+    test_ids: np.ndarray
+    inner: FoldAssignment
+    oof: np.ndarray
+    ranking: ModelRanking
+    base_test: np.ndarray
+    log: ProvenanceLog | None
+
+
+def _outer_fold_task(args) -> OuterFold:
     from . import stacking  # imported here to avoid a module cycle
 
-    fold, X, y, outer_seed, k, specs, m_top, inner_k, alpha, audit = args
+    fold, X, y, outer_seed, k, specs, inner_k, m_top, audit = args
     outer = kfold_split(len(y), k, outer_seed)
     train_ids = outer.train_indices(fold)
     test_ids = outer.test_indices(fold)
-    X_train, y_train = X[train_ids], y[train_ids]
+    X_train, y_train, X_test = X[train_ids], y[train_ids], X[test_ids]
 
     log = ProvenanceLog() if audit else None
     inner = kfold_split(len(train_ids), inner_k, _inner_seed(outer_seed, fold))
     oof = stacking.oof_predictions(X_train, y_train, specs, inner, log=log, sample_ids=train_ids)
     ranking = stacking.rank_base_models(X_train, y_train, specs, k=inner_k, folds=inner, oof=oof)
-    ens = stacking.fit_stack(X_train, y_train, specs, ranking, m_top=m_top, folds=inner,
-                             oof=oof, alpha=alpha, log=log, sample_ids=train_ids)
-    triple = compute_metrics(y[test_ids], stacking.predict_stack(ens, X[test_ids]))
-
-    n_fits = 0
-    violations: list[str] = []
+    by_name = {s.name: s for s in specs}
+    ranked = ranking.top(len(specs))
+    # column_stack, not fancy indexing: a C-ordered matrix keeps the
+    # prediction's BLAS summation order, and so its last bit, fixed
+    base_test = np.column_stack([stacking.fit_base(by_name[name], X_train, y_train).predict(X_test)
+                                 for name in ranked])
     if log is not None:
-        held_out = frozenset(int(i) for i in test_ids)
-        n_fits = len(log.records)
-        for stage, ids in log.records:
-            overlap = ids & held_out
-            if overlap:
-                violations.append(f"fold {fold}: {stage} trained on held-out samples {sorted(overlap)}")
-    return fold, triple, n_fits, tuple(violations)
+        log.record("combiner", train_ids)
+        for name in ranked[:m_top]:
+            log.record(f"refit model={name}", train_ids)
+    return OuterFold(train_ids=train_ids, test_ids=test_ids, inner=inner, oof=oof, ranking=ranking,
+                     base_test=base_test, log=log)
+
+
+@dataclass(frozen=True)
+class NestedCV:
+    """Every outer fold of one nested k-fold CV pass.
+
+    The report at any stack size, the ensemble-size sweep, the outer-fold
+    ranking and the leakage audit are all read from these records.
+    """
+
+    specs: tuple
+    y: np.ndarray
+    outer: FoldAssignment
+    folds: tuple[OuterFold, ...]
+
+    def metrics(self, m_top: int, alpha: float) -> MetricReport:
+        """Held-out metrics of the stack over the top ``m_top`` members."""
+        from . import stacking  # imported here to avoid a module cycle
+
+        if not 1 <= m_top <= len(self.specs):
+            raise ValueError(f"m_top must be in [1, {len(self.specs)}], got {m_top}")
+        col_of = {s.name: i for i, s in enumerate(self.specs)}
+        triples = []
+        for rec in self.folds:
+            cols = [col_of[name] for name in rec.ranking.top(m_top)]
+            rank_mapes = [e.mape for e in rec.ranking.entries[:m_top]]
+            w, b = stacking.fit_combiner(rec.oof[:, cols], self.y[rec.train_ids], rec.inner,
+                                         rank_mapes, alpha)
+            triples.append(compute_metrics(self.y[rec.test_ids], rec.base_test[:, :m_top] @ w + b))
+        return report_from_triples(triples)
+
+    def sweep(self, m_values, alpha: float) -> list[SweepRow]:
+        rows = []
+        for m in m_values:
+            rep = self.metrics(m, alpha)
+            rows.append(SweepRow(m=m, r2_mean=rep.r2.mean, r2_std=rep.r2.std,
+                                 mae_mean=rep.mae.mean, mae_std=rep.mae.std,
+                                 mape_mean=rep.mape.mean, mape_std=rep.mape.std))
+        return rows
+
+    def ranking(self) -> ModelRanking:
+        """What ``rank_base_models(X, y, specs, k=k, seed=seed)`` returns,
+        with no fit of its own: it ranks on the outer folds, whose
+        out-of-fold predictions are the held-out refit predictions."""
+        from . import stacking  # imported here to avoid a module cycle
+
+        col_of = {s.name: i for i, s in enumerate(self.specs)}
+        oof = np.empty((len(self.y), len(self.specs)))
+        for rec in self.folds:
+            for rank, name in enumerate(rec.ranking.top(len(self.specs))):
+                oof[rec.test_ids, col_of[name]] = rec.base_test[:, rank]
+        return stacking.rank_base_models(None, self.y, self.specs, folds=self.outer, oof=oof)
+
+    def audit(self) -> AuditReport:
+        """Leakage audit: no logged fit may have seen its fold's held-out rows."""
+        if any(rec.log is None for rec in self.folds):
+            raise ValueError("the nested pass ran without audit=True")
+        n_fits, violations = 0, []
+        for fold, rec in enumerate(self.folds):
+            held_out = frozenset(int(i) for i in rec.test_ids)
+            n_fits += len(rec.log.records)
+            for stage, ids in rec.log.records:
+                if ids & held_out:
+                    violations.append(f"fold {fold}: {stage} trained on held-out samples "
+                                      f"{sorted(ids & held_out)}")
+        return AuditReport(n_fits=n_fits, violations=tuple(violations))
+
+
+def nested_cv(X, y, specs, *, k: int = 5, inner_k: int = 5, seed: int = 0,
+              m_top: int | None = None, audit: bool = False, jobs: int = 1) -> NestedCV:
+    """Fit every outer fold of nested k-fold CV once.
+
+    With ``audit=True`` each fit of the top-``m_top`` stack (inner
+    out-of-fold fits, combiner, refits) is tagged with the sample ids it
+    saw, for the leakage audit. Outer folds can run in parallel
+    (``jobs``); the result is independent of scheduling.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if m_top is None:
+        m_top = len(specs)
+    tasks = [(f, X, y, seed, k, list(specs), inner_k, m_top, audit) for f in range(k)]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            folds = list(pool.map(_outer_fold_task, tasks))
+    else:
+        folds = [_outer_fold_task(t) for t in tasks]
+    return NestedCV(specs=tuple(specs), y=y, outer=kfold_split(len(y), k, seed), folds=tuple(folds))
 
 
 def cross_validate(X, y, specs, *, m_top=None, k: int = 5, inner_k: int = 5,
@@ -210,30 +330,11 @@ def cross_validate(X, y, specs, *, m_top=None, k: int = 5, inner_k: int = 5,
     saw, and the result carries a leakage report. Outer folds can run in
     parallel (``jobs``); the result is independent of scheduling.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if m_top is None:
         m_top = len(specs)
-    tasks = [(f, X, y, seed, k, list(specs), m_top, inner_k, alpha, audit) for f in range(k)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_outer_fold_task, tasks))
-    else:
-        results = [_outer_fold_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
-    triples = [r[1] for r in results]
-    audit_report = None
-    if audit:
-        violations: list[str] = []
-        n_fits = 0
-        for _, _, fits, viol in results:
-            n_fits += fits
-            violations.extend(viol)
-        audit_report = AuditReport(n_fits=n_fits, violations=tuple(violations))
-    return CVResult(report=report_from_triples(triples), audit=audit_report)
+    cv = nested_cv(X, y, specs, k=k, inner_k=inner_k, seed=seed, m_top=m_top, audit=audit,
+                   jobs=jobs)
+    return CVResult(report=cv.metrics(m_top, alpha), audit=cv.audit() if audit else None)
 
 
 def cross_validate_model(X, y, spec, *, k: int = 5, seed: int = 0) -> MetricReport:
@@ -271,42 +372,10 @@ def ensemble_size_sweep(X, y, specs, m_values, *, k: int = 5, inner_k: int = 5,
     included) is refit per size, so row m equals
     ``cross_validate(m_top=m)``.
     """
-    from . import stacking  # imported here to avoid a module cycle
-    from .regressors import fit as fit_model
-
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     m_values = [int(m) for m in m_values]
     if not m_values:
         raise ValueError("m_values is empty")
     if min(m_values) < 1 or max(m_values) > len(specs):
         raise ValueError(f"ensemble sizes must lie in [1, {len(specs)}], got {m_values}")
-
-    outer = kfold_split(len(y), k, seed)
-    by_name = {s.name: s for s in specs}
-    per_fold: dict[int, list[MetricTriple]] = {m: [] for m in m_values}
-    for fold in range(k):
-        tr, te = outer.train_indices(fold), outer.test_indices(fold)
-        X_train, y_train = X[tr], y[tr]
-        inner = kfold_split(len(tr), inner_k, _inner_seed(seed, fold))
-        oof = stacking.oof_predictions(X_train, y_train, specs, inner)
-        ranking = stacking.rank_base_models(X_train, y_train, specs, folds=inner, oof=oof)
-        ranked_names = [e.name for e in ranking.entries]
-        rank_mapes = [e.mape for e in ranking.entries]
-        col_of = {s.name: i for i, s in enumerate(specs)}
-        needed = ranked_names[: max(m_values)]
-        refit = {name: fit_model(by_name[name], X_train, y_train) for name in needed}
-        base_test = np.column_stack([refit[name].predict(X[te]) for name in needed])
-        for m in m_values:
-            cols = [col_of[name] for name in ranked_names[:m]]
-            w, b = stacking.fit_combiner(oof[:, cols], y_train, inner, rank_mapes[:m], alpha)
-            preds = base_test[:, :m] @ w + b
-            per_fold[m].append(compute_metrics(y[te], preds))
-
-    rows = []
-    for m in m_values:
-        rep = report_from_triples(per_fold[m])
-        rows.append(SweepRow(m=m, r2_mean=rep.r2.mean, r2_std=rep.r2.std,
-                             mae_mean=rep.mae.mean, mae_std=rep.mae.std,
-                             mape_mean=rep.mape.mean, mape_std=rep.mape.std))
-    return rows
+    cv = nested_cv(X, y, specs, k=k, inner_k=inner_k, seed=seed)
+    return cv.sweep(m_values, alpha)

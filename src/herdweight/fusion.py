@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSchedule, IoError
+from .files import open_fresh
 
 CENTER_METHODS = ("mean", "median")
 
@@ -251,7 +252,8 @@ class TrajectoryTrace:
                 lines.append(f"{t},{v},{float(self.mean_agreement[t, v])!r},"
                              f"{float(self.mean_weight[t, v])!r}")
         try:
-            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with open_fresh(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyCloud, IoError, NonFiniteCoordinate, ParseError
+from .files import open_fresh
 
 XYZ_ASCII = "xyz-ascii"
 CSV_FORMAT = "csv"
@@ -293,7 +294,7 @@ def save_point_cloud(cloud: PointCloud, path: str | Path, fmt: str) -> None:
             head = _ply_header("ascii", len(pts))
             _save_text(path, ("%s %s %s" % (repr(x), repr(y), repr(z)) for x, y, z in pts.tolist()), head=head)
         elif fmt == PLY_BINARY_LE:
-            with open(path, "wb") as f:
+            with open_fresh(path, "wb") as f:
                 f.write((_ply_header("binary_little_endian", len(pts)) + "\n").encode("ascii"))
                 f.write(pts.astype("<f4").tobytes())
         else:
@@ -303,7 +304,7 @@ def save_point_cloud(cloud: PointCloud, path: str | Path, fmt: str) -> None:
 
 
 def _save_text(path: Path, lines, head: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open_fresh(path, "w", encoding="utf-8", newline="\n") as f:
         if head is not None:
             f.write(head + "\n")
         for line in lines:
@@ -335,7 +336,3 @@ def detect_format(path: str | Path) -> str:
             head = f.read(512)
         return PLY_BINARY_LE if b"binary_little_endian" in head else PLY_ASCII
     raise ParseError(f"{path}: cannot infer format from suffix {suffix!r}")
-
-
-def format_extension(fmt: str) -> str:
-    return {XYZ_ASCII: ".xyz", CSV_FORMAT: ".csv", PLY_ASCII: ".ply", PLY_BINARY_LE: ".ply"}[fmt]

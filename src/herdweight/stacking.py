@@ -79,8 +79,12 @@ class StackedEnsemble:
         return len(self.models)
 
 
-def _tag_fit_error(name: str, exc: HerdWeightError) -> HerdWeightError:
-    return type(exc)(f"model {name!r}: {exc}")
+def fit_base(spec: ModelSpec, X, y) -> FittedModel:
+    """Fit one base model; a fit error names the model it came from."""
+    try:
+        return fit(spec, X, y)
+    except HerdWeightError as exc:
+        raise type(exc)(f"model {spec.name!r}: {exc}") from exc
 
 
 def oof_predictions(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None) -> np.ndarray:
@@ -97,10 +101,7 @@ def oof_predictions(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=
     for f in range(folds.k):
         tr, te = folds.train_indices(f), folds.test_indices(f)
         for m, spec in enumerate(specs):
-            try:
-                model = fit(spec, X[tr], y[tr])
-            except HerdWeightError as exc:
-                raise _tag_fit_error(spec.name, exc) from exc
+            model = fit_base(spec, X[tr], y[tr])
             if log is not None:
                 log.record(f"oof fold={f} model={spec.name}", sample_ids[tr])
             out[te, m] = model.predict(X[te])
@@ -202,8 +203,8 @@ def fit_combiner(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
 
 def fit_stack(X, y, specs, ranking: ModelRanking, *, m_top: int | None = None,
               k: int = 5, seed: int = 0, alpha: float = DEFAULT_RIDGE_ALPHA,
-              folds: FoldAssignment | None = None, oof: np.ndarray | None = None,
-              log=None, sample_ids=None) -> StackedEnsemble:
+              folds: FoldAssignment | None = None,
+              oof: np.ndarray | None = None) -> StackedEnsemble:
     """Fit the combiner on out-of-fold meta-features; refit bases on all data.
 
     ``oof``, when given, must be the (n, len(specs)) matrix aligned with
@@ -216,8 +217,6 @@ def fit_stack(X, y, specs, ranking: ModelRanking, *, m_top: int | None = None,
         m_top = len(ranking)
     if not 1 <= m_top <= len(ranking):
         raise ValueError(f"m_top must be in [1, {len(ranking)}], got {m_top}")
-    if sample_ids is None:
-        sample_ids = np.arange(len(y))
     by_name = {s.name: s for s in specs}
     top_names = ranking.top(m_top)
     top_specs = [by_name[name] for name in top_names]
@@ -226,37 +225,30 @@ def fit_stack(X, y, specs, ranking: ModelRanking, *, m_top: int | None = None,
         folds = kfold_split(len(y), k, seed)
     if oof is not None:
         col_of = {s.name: i for i, s in enumerate(specs)}
-        meta = oof[:, [col_of[name] for name in top_names]]
+        # C order, as oof_predictions returns it: the combiner's BLAS sums
+        # depend on the operand layout, and model.json must not.
+        meta = np.ascontiguousarray(oof[:, [col_of[name] for name in top_names]])
     else:
-        meta = oof_predictions(X, y, top_specs, folds, log=log, sample_ids=sample_ids)
+        meta = oof_predictions(X, y, top_specs, folds)
 
     rank_mapes = [e.mape for e in ranking.entries[:m_top]]
     weights, intercept = fit_combiner(meta, y, folds, rank_mapes, alpha)
-    if log is not None:
-        log.record("combiner", sample_ids)
-    models = []
-    for spec in top_specs:
-        try:
-            models.append(fit(spec, X, y))
-        except HerdWeightError as exc:
-            raise _tag_fit_error(spec.name, exc) from exc
-        if log is not None:
-            log.record(f"refit model={spec.name}", sample_ids)
+    models = [fit_base(spec, X, y) for spec in top_specs]
     return StackedEnsemble(specs=top_specs, models=models, weights=weights,
                            intercept=intercept, alpha=alpha, ranking=ranking)
 
 
 def predict_stack(ensemble: StackedEnsemble, X) -> np.ndarray:
-    """Affine combination of the refit base predictions."""
-    base = base_predictions(ensemble, X)
-    return base @ ensemble.weights + ensemble.intercept
+    """Affine combination of the refit base predictions.
 
-
-def base_predictions(ensemble: StackedEnsemble, X) -> np.ndarray:
+    Members with weight exactly 0 are not evaluated; their column is 0.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D feature matrix, got shape {X.shape}")
-    return np.column_stack([m.predict(X) for m in ensemble.models])
+    base = np.column_stack([m.predict(X) if w != 0.0 else np.zeros(X.shape[0])
+                            for m, w in zip(ensemble.models, ensemble.weights)])
+    return base @ ensemble.weights + ensemble.intercept
 
 
 def ensemble_to_dict(ensemble: StackedEnsemble) -> dict:

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from herdweight.cli import main
-from herdweight.dataset import HerdDataset, save_dataset_csv
+from herdweight import stacking
+from herdweight.cli import _write_ranking_csv, main
+from herdweight.config import load_config
+from herdweight.dataset import HerdDataset, load_dataset_csv, save_dataset_csv
 from herdweight.features import FEATURE_NAMES, extract_feature_vector
 from herdweight.pointcloud import PLY_BINARY_LE, XYZ_ASCII, PointCloud, save_point_cloud
 from herdweight.synthetic import make_herd, stall_scene
@@ -168,6 +171,76 @@ def test_cv_sweep_rows(herd_csv, small_config, tmp_path):
     rows = _read_csv(out / "sweep.csv")
     assert rows[0] == ["m", "r2_mean", "r2_std", "mae_mean", "mae_std", "mape_mean", "mape_std"]
     assert [r[0] for r in rows[1:]] == ["2", "3"]
+
+
+@pytest.fixture()
+def fit_calls(monkeypatch):
+    """Counts every base-model fit the stacking layer makes."""
+    calls = []
+    real_fit = stacking.fit
+
+    def counting_fit(spec, X, y):
+        calls.append(spec.name)
+        return real_fit(spec, X, y)
+
+    monkeypatch.setattr(stacking, "fit", counting_fit)
+    return calls
+
+
+@pytest.mark.parametrize("m_top", [3, 2])
+def test_cv_sweep_and_train_fit_each_model_once_per_fold(herd_csv, small_config, tmp_path,
+                                                         fit_calls, m_top):
+    """S = 3 specs, k = inner_k = 3: cv --sweep fits k * (inner_k * S + S)
+    models, train inner_k * S + m_top."""
+    argv = ["--config", str(small_config), "--m-top", str(m_top)]
+    assert main(["cv", str(herd_csv), "--out", str(tmp_path / "cv"), "--sweep", "1..3", *argv]) == 0
+    assert len(fit_calls) == 3 * (3 * 3 + 3)
+    fit_calls.clear()
+    assert main(["train", str(herd_csv), "--out", str(tmp_path / "model"), *argv]) == 0
+    assert len(fit_calls) == 3 * 3 + m_top
+
+
+def test_cv_ranking_equals_direct_ranking(herd_csv, small_config, tmp_path):
+    """ranking.csv comes from the outer folds' refits, with no fits of its
+    own, and equals ranking the specs on the outer folds directly."""
+    out = tmp_path / "cv"
+    assert main(["cv", str(herd_csv), "--config", str(small_config), "--out", str(out)]) == 0
+    X, y = load_dataset_csv(herd_csv).matrices()
+    specs = load_config(small_config).specs
+    _write_ranking_csv(stacking.rank_base_models(X, y, specs, k=3, seed=0), tmp_path / "direct.csv")
+    assert (out / "ranking.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_rerun_replaces_outputs(scene_dir, herd_csv, small_config, tmp_path):
+    """A rerun into the same --out writes new files: a hard link to a
+    first-run output keeps its bytes, and a symlink is not written through."""
+    out = tmp_path / "out"
+    commands = [["clean", str(scene_dir), "--out", str(out)],
+                ["cv", str(herd_csv), "--config", str(small_config), "--out", str(out),
+                 "--sweep", "2..3"],
+                ["train", str(herd_csv), "--config", str(small_config), "--out", str(out)]]
+    for argv in commands:
+        assert main(argv) == 0
+    outputs = sorted(p for p in out.rglob("*") if p.is_file())
+    first = {p: p.read_bytes() for p in outputs}
+    links = tmp_path / "links"
+    links.mkdir()
+    for i, p in enumerate(outputs):
+        os.link(p, links / str(i))
+    elsewhere = tmp_path / "elsewhere.json"
+    elsewhere.write_text("keep\n")
+    (out / "report.json").unlink()
+    (out / "report.json").symlink_to(elsewhere)
+
+    for argv in commands:
+        assert main(argv) == 0
+    assert sorted(p for p in out.rglob("*") if p.is_file()) == outputs
+    for i, p in enumerate(outputs):
+        assert (links / str(i)).read_bytes() == first[p], p
+        assert p.read_bytes() == first[p], p
+        assert not os.path.samefile(links / str(i), p), p
+    assert not (out / "report.json").is_symlink()
+    assert elsewhere.read_text() == "keep\n"
 
 
 def test_cv_audit_flag(herd_csv, small_config, tmp_path):

@@ -218,6 +218,14 @@ def test_predict_stack_identity_and_average():
                            alpha=1.0, ranking=ranking)
     assert (predict_stack(ens2, X) == 150.0).all()
 
+    class NotEvaluated:
+        def predict(self, X):
+            raise AssertionError("a zero-weight member was evaluated")
+
+    ens3 = StackedEnsemble(specs=[], models=[model, NotEvaluated()], weights=np.array([1.0, 0.0]),
+                           intercept=0.0, alpha=1.0, ranking=ranking)
+    np.testing.assert_array_equal(predict_stack(ens3, X), model.predict(X))
+
 
 def test_stack_output_is_affine_in_base_outputs():
     X, y = _linear_herd(n=24, noise=2.0)
