@@ -28,13 +28,14 @@ from .dataset import (
     load_weights_csv,
     save_dataset_csv,
 )
-from .errors import ConfigError, HerdWeightError, MissingWeight
+from .errors import ConfigError, HerdWeightError, MissingWeight, ParseError
 from .evaluation import kfold_split, nested_cv
 from .features import extract_feature_vector
 from .files import open_fresh
 from .fusion import simulate_trajectory
 from .pointcloud import detect_format, load_point_cloud, save_point_cloud
 from .stacking import (
+    StackedEnsemble,
     ensemble_from_dict,
     ensemble_to_dict,
     fit_stack,
@@ -277,10 +278,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path: str) -> StackedEnsemble:
+    """The ensemble in a model.json; any malformed content is a ParseError."""
+    try:
+        return ensemble_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        # ValueError covers invalid JSON and UTF-8; the rest are missing or mistyped fields.
+        raise ParseError(f"{path}: not a valid model file ({type(exc).__name__}: {exc})") from None
+
+
 def cmd_predict(args) -> int:
     config = load_config(args.config, {})
-    model_payload = json.loads(Path(args.model).read_text(encoding="utf-8"))
-    ensemble = ensemble_from_dict(model_payload)
+    ensemble = _load_model(args.model)
     ids, X = load_features_csv(args.features)
     out = _prepare_out(args)
     preds = predict_stack(ensemble, X)

@@ -122,9 +122,10 @@ def _read_feature_rows(path, require_weight: bool, strict: bool = True):
 
 
 def load_weights_csv(path: str | Path) -> dict[str, float]:
-    """id -> kg table with header animal_id,weight_kg."""
+    """id -> kg table with header animal_id,weight_kg; ids must be unique."""
     path = Path(path)
     out: dict[str, float] = {}
+    seen_at: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -138,6 +139,9 @@ def load_weights_csv(path: str | Path) -> dict[str, float]:
                 continue
             if len(rec) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(rec)}")
+            if rec[0] in seen_at:
+                raise ParseError(f"{path}:{lineno}: animal_id {rec[0]!r} repeats line {seen_at[rec[0]]}")
+            seen_at[rec[0]] = lineno
             try:
                 out[rec[0]] = float(rec[1])
             except ValueError:

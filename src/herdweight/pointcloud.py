@@ -11,8 +11,11 @@ deduplicated.
 from __future__ import annotations
 
 import csv
-import math
+import io
+import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +29,6 @@ PLY_ASCII = "ply-ascii"
 PLY_BINARY_LE = "ply-binary-le"
 
 FORMATS = (XYZ_ASCII, CSV_FORMAT, PLY_ASCII, PLY_BINARY_LE)
-
-# x, y, z in metres
-Point3 = tuple[float, float, float]
 
 _PLY_SCALAR_TYPES = {
     "char": "i1", "int8": "i1",
@@ -74,16 +74,21 @@ def as_points(cloud) -> np.ndarray:
     return PointCloud(np.asarray(cloud, dtype=np.float64)).points
 
 
-def _finite_or_raise(x: float, y: float, z: float, index: int) -> None:
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise NonFiniteCoordinate(f"non-finite coordinate at point {index}")
-
-
 def _parse_float(token: str, where: str) -> float:
     try:
         return float(token)
     except ValueError:
         raise ParseError(f"{where}: cannot parse {token!r} as a number") from None
+
+
+def _coordinates(rows) -> np.ndarray | None:
+    """(N, 3) float64 array from N rows of three decimal strings (any
+    iterable), or None if a token is not a number. Each string goes through
+    float(), so the values are bit-identical to a per-token parse."""
+    try:
+        return np.array(list(chain.from_iterable(rows)), dtype=np.float64).reshape(-1, 3)
+    except ValueError:
+        return None
 
 
 def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
@@ -94,53 +99,77 @@ def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
     """
     path = Path(path)
     if fmt == XYZ_ASCII:
-        rows = _load_xyz(path)
+        pts = _load_xyz(path)
     elif fmt == CSV_FORMAT:
-        rows = _load_csv(path)
+        pts = _load_csv(path)
     elif fmt == PLY_ASCII:
-        rows = _load_ply(path, binary=False)
+        pts = _load_ply(path, binary=False)
     elif fmt == PLY_BINARY_LE:
-        rows = _load_ply(path, binary=True)
+        pts = _load_ply(path, binary=True)
     else:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if len(rows) == 0:
+    if len(pts) == 0:
         raise EmptyCloud(f"{path}: no points")
-    return PointCloud(np.asarray(rows, dtype=np.float64))
+    return PointCloud(pts)
 
 
-def _load_xyz(path: Path) -> list[Point3]:
-    rows: list[Point3] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            x, y, z = (_parse_float(p, f"{path}:{lineno}") for p in parts)
-            _finite_or_raise(x, y, z, len(rows))
-            rows.append((x, y, z))
-    return rows
+def _read_text(path: Path) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_csv(path: Path) -> list[Point3]:
-    rows: list[Point3] = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        cols = (0, 1, 2)
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            if lineno == 1 and _looks_like_header(rec):
-                cols = _header_columns(rec, path)
-                continue
-            if max(cols) >= len(rec):
-                raise ParseError(f"{path}:{lineno}: expected at least {max(cols) + 1} columns, got {len(rec)}")
-            x, y, z = (_parse_float(rec[c].strip(), f"{path}:{lineno}") for c in cols)
-            _finite_or_raise(x, y, z, len(rows))
-            rows.append((x, y, z))
-    return rows
+# The loaders below parse every row in one pass and convert all tokens at
+# once. When that fails, they re-scan row by row, which raises the error
+# of the first bad line, or (for oddities the fast pass does not cover)
+# returns the rows.
+
+def _load_xyz(path: Path) -> np.ndarray:
+    # Universal newlines, as when iterating over a text-mode file.
+    lines = _read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [parts for parts in map(str.split, lines) if parts]
+    if set(map(len, rows)) <= {3}:
+        pts = _coordinates(rows)
+        if pts is not None:
+            return pts
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if parts and len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        out.extend(_parse_float(token, f"{path}:{lineno}") for token in parts)
+    return np.array(out, dtype=np.float64).reshape(-1, 3)
+
+
+def _load_csv(path: Path) -> np.ndarray:
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    blank = [not "".join(rec).strip() for rec in records]
+    cols = (0, 1, 2)
+    if records and not blank[0] and _looks_like_header(records[0]):
+        cols = _header_columns(records[0], path)
+        blank[0] = True
+    rows = [rec for rec, skip in zip(records, blank) if not skip]
+    width = max(cols) + 1
+    if min(map(len, rows), default=width) >= width:
+        pts = _coordinates(map(itemgetter(*cols), rows))
+        if pts is not None:
+            return pts
+    # Cells are stripped here: str.strip() also removes the separators
+    # \x1c-\x1f around a number, which float() rejects.
+    out = []
+    for lineno, (rec, skip) in enumerate(zip(records, blank), start=1):
+        if skip:
+            continue
+        if len(rec) < width:
+            raise ParseError(f"{path}:{lineno}: expected at least {width} columns, got {len(rec)}")
+        out.append([_parse_float(rec[c].strip(), f"{path}:{lineno}") for c in cols])
+    return np.array(out, dtype=np.float64).reshape(-1, 3)
 
 
 def _looks_like_header(rec: list[str]) -> bool:
@@ -159,7 +188,7 @@ def _header_columns(rec: list[str], path: Path) -> tuple[int, int, int]:
         raise ParseError(f"{path}:1: header must name x, y and z columns, got {names}") from None
 
 
-def _load_ply(path: Path, binary: bool) -> list[Point3]:
+def _load_ply(path: Path, binary: bool) -> np.ndarray:
     with open(path, "rb") as f:
         header = _read_ply_header(f, path)
         if header["binary"] != binary:
@@ -187,26 +216,34 @@ def _read_ply_header(f, path: Path) -> dict:
         line = raw.decode("ascii", errors="replace").strip()
         if not line or line.startswith("comment") or line.startswith("obj_info"):
             continue
+        parts = line.split()
+        malformed = ParseError(f"{path}: malformed header line {line!r}")
         if line.startswith("format"):
-            token = line.split()[1]
-            if token == "ascii":
+            if len(parts) < 2:
+                raise malformed
+            if parts[1] == "ascii":
                 binary = False
-            elif token == "binary_little_endian":
+            elif parts[1] == "binary_little_endian":
                 binary = True
             else:
-                raise ParseError(f"{path}: unsupported PLY format {token!r}")
+                raise ParseError(f"{path}: unsupported PLY format {parts[1]!r}")
         elif line.startswith("element"):
-            _, name, count = line.split()
+            try:
+                _, name, count_text = parts
+                count = int(count_text)
+            except ValueError:
+                raise malformed from None
+            if count < 0:
+                raise malformed
             props = []
-            elements.append((name, int(count), props))
+            elements.append((name, count, props))
         elif line.startswith("property"):
             if props is None:
                 raise ParseError(f"{path}: property before any element")
-            parts = line.split()
-            if parts[1] == "list":
-                props.append(("list", parts[-1]))
-            else:
-                props.append((parts[1], parts[2]))
+            is_list = parts[1:2] == ["list"]
+            if len(parts) < (5 if is_list else 3):
+                raise malformed
+            props.append(("list", parts[-1]) if is_list else (parts[1], parts[2]))
         elif line == "end_header":
             break
         else:
@@ -226,54 +263,56 @@ def _read_ply_header(f, path: Path) -> dict:
     raise ParseError(f"{path}: no vertex element in header")
 
 
-def _read_ply_ascii_vertices(f, header: dict, path: Path) -> list[Point3]:
+def _read_ply_ascii_vertices(f, header: dict, path: Path) -> np.ndarray:
     # Every element instance is one text line, so preceding elements are skippable.
-    for _, count, _ in header["before_vertex"]:
-        for _ in range(count):
-            f.readline()
+    lines = f.read().decode("ascii", errors="replace").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the empty tail after a final newline is not a line
+    skip = sum(count for _, count, _ in header["before_vertex"])
+    n = header["n_vertex"]
+    rows = list(map(str.split, lines[skip : skip + n]))
     names = [p[1] for p in header["vertex_props"]]
     ix, iy, iz = names.index("x"), names.index("y"), names.index("z")
-    rows: list[Point3] = []
-    for i in range(header["n_vertex"]):
-        raw = f.readline()
-        if not raw:
-            raise ParseError(f"{path}: expected {header['n_vertex']} vertices, file ends at {i}")
-        parts = raw.decode("ascii", errors="replace").split()
+    if len(rows) == n and min(map(len, rows)) >= len(names):
+        pts = _coordinates(map(itemgetter(ix, iy, iz), rows))
+        if pts is not None:
+            return pts
+    out = []
+    for i, parts in enumerate(rows):
         if len(parts) < len(names):
             raise ParseError(f"{path}: vertex {i}: expected {len(names)} fields, got {len(parts)}")
-        x = _parse_float(parts[ix], f"{path}: vertex {i}")
-        y = _parse_float(parts[iy], f"{path}: vertex {i}")
-        z = _parse_float(parts[iz], f"{path}: vertex {i}")
-        _finite_or_raise(x, y, z, i)
-        rows.append((x, y, z))
-    return rows
+        out.append([_parse_float(parts[c], f"{path}: vertex {i}") for c in (ix, iy, iz)])
+    if len(rows) < n:
+        raise ParseError(f"{path}: expected {n} vertices, file ends at {len(rows)}")
+    return np.array(out, dtype=np.float64)
 
 
-def _read_ply_binary_vertices(f, header: dict, path: Path) -> list[Point3]:
-    for name, count, plist in header["before_vertex"]:
-        if count == 0:
-            continue
-        if any(t == "list" for t, _ in plist):
-            raise ParseError(f"{path}: cannot skip binary element {name!r} with list properties")
-        f.read(count * sum(np.dtype(_PLY_SCALAR_TYPES[t]).itemsize for t, _ in plist))
+def _ply_dtype(plist, path: Path, what: str) -> np.dtype:
     fields = []
-    for typ, name in header["vertex_props"]:
+    for typ, name in plist:
         if typ == "list":
-            raise ParseError(f"{path}: list property {name!r} in vertex element is unsupported")
+            raise ParseError(f"{path}: list property {name!r} in {what} is unsupported")
         if typ not in _PLY_SCALAR_TYPES:
             raise ParseError(f"{path}: unknown property type {typ!r}")
         fields.append((name, _PLY_SCALAR_TYPES[typ]))
-    dt = np.dtype(fields)
+    try:
+        return np.dtype(fields)
+    except ValueError as exc:  # e.g. a property named twice
+        raise ParseError(f"{path}: bad {what}: {exc}") from None
+
+
+def _read_ply_binary_vertices(f, header: dict, path: Path) -> np.ndarray:
+    skip = sum(count * _ply_dtype(plist, path, f"element {name!r}").itemsize
+               for name, count, plist in header["before_vertex"] if count)
+    dt = _ply_dtype(header["vertex_props"], path, "vertex element")
     n = header["n_vertex"]
-    buf = f.read(n * dt.itemsize)
-    if len(buf) != n * dt.itemsize:
-        raise ParseError(f"{path}: vertex data truncated at byte {len(buf)} of {n * dt.itemsize}")
-    rec = np.frombuffer(buf, dtype=dt, count=n)
-    pts = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
-    bad = ~np.isfinite(pts).all(axis=1)
-    if bad.any():
-        raise NonFiniteCoordinate(f"non-finite coordinate at point {int(np.flatnonzero(bad)[0])}")
-    return [tuple(p) for p in pts]
+    # Sizes are checked against the file first, so a hostile count allocates nothing.
+    available = max(os.fstat(f.fileno()).st_size - f.tell() - skip, 0)
+    if available < n * dt.itemsize:
+        raise ParseError(f"{path}: vertex data truncated at byte {available} of {n * dt.itemsize}")
+    f.seek(skip, os.SEEK_CUR)
+    rec = np.frombuffer(f.read(n * dt.itemsize), dtype=dt, count=n)
+    return np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
 
 
 def save_point_cloud(cloud: PointCloud, path: str | Path, fmt: str) -> None:

@@ -269,7 +269,7 @@ def ensemble_from_dict(d: dict) -> StackedEnsemble:
         raise ValueError(f"unsupported ensemble format_version {d.get('format_version')!r}")
     ranking = ModelRanking(entries=tuple(
         RankedModel(name=e["name"], mape=e["mape"], r2=e["r2"], mae=e["mae"]) for e in d["ranking"]))
-    return StackedEnsemble(
+    ensemble = StackedEnsemble(
         specs=[spec_from_dict(s) for s in d["specs"]],
         models=[model_from_dict(m) for m in d["models"]],
         weights=np.asarray(d["weights"], dtype=np.float64),
@@ -277,3 +277,6 @@ def ensemble_from_dict(d: dict) -> StackedEnsemble:
         alpha=float(d["alpha"]),
         ranking=ranking,
     )
+    if ensemble.weights.shape != (len(ensemble.models),):
+        raise ValueError(f"{len(ensemble.models)} models but weights of shape {ensemble.weights.shape}")
+    return ensemble

@@ -1,8 +1,11 @@
 """RANSAC plane fitting and removal against generator-labelled scenes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from herdweight import cleaning
 from herdweight.cleaning import RansacParams, fit_plane_ransac, remove_planes, segment_planes
 from herdweight.errors import DegenerateCloud, EmptyResult, TooFewPoints
 from herdweight.pointcloud import PointCloud
@@ -111,3 +114,64 @@ def test_params_validation():
         RansacParams(inlier_threshold=0.0)
     with pytest.raises(ValueError):
         RansacParams(min_plane_fraction=1.0)
+
+
+def _full_matrix_counts(pts, normals, lengths, a, rows, threshold):
+    """Reference scoring: one (n, 256) distance matrix per hypothesis chunk."""
+    counts = []
+    for start in range(0, rows.size, 256):
+        hyp = rows[start : start + 256]
+        unit = normals[hyp] / lengths[hyp, None]
+        offs = -np.einsum("ij,ij->i", unit, a[hyp])
+        counts.append((np.abs(pts @ unit.T + offs) <= threshold).sum(axis=0))
+    return np.concatenate(counts)
+
+
+@pytest.mark.parametrize("n_floor, n_blob", [(150, 100), (1000, 777), (9000, 777)])
+def test_blocked_scoring_matches_full_matrix(monkeypatch, n_floor, n_blob):
+    """Every hypothesis gets the full-matrix inlier count, so the planes and
+    inliers are the same; cloud sizes are not multiples of the point block,
+    and the smallest cloud fits in one block."""
+    cloud, _ = stall_scene(seed=n_floor, n_floor=n_floor, n_wall=n_floor // 3, n_blob=n_blob)
+    noisy = cloud.points + np.random.default_rng(1).normal(scale=0.01, size=cloud.points.shape)
+    assert noisy.shape[0] % cleaning._POINT_BLOCK != 0
+    params = RansacParams(seed=3)
+    blocked = fit_plane_ransac(noisy, params)
+    blocked_residue, blocked_planes = segment_planes(noisy, params)
+
+    scored = []
+
+    def both(*args):
+        counts = _full_matrix_counts(*args)
+        np.testing.assert_array_equal(blocked_score(*args), counts)
+        scored.append(counts.size)
+        return counts
+
+    blocked_score = cleaning._score_hypotheses
+    monkeypatch.setattr(cleaning, "_score_hypotheses", both)
+    plane, inliers = fit_plane_ransac(noisy, params)
+    residue, planes = segment_planes(noisy, params)
+    assert len(scored) == 1 + len(planes) + (len(planes) < params.max_planes)
+    assert np.array_equal(plane.normal, blocked[0].normal) and plane.offset == blocked[0].offset
+    np.testing.assert_array_equal(inliers, blocked[1])
+    np.testing.assert_array_equal(residue.points, blocked_residue.points)
+    assert [(q.normal.tolist(), q.offset) for q in planes] == [
+        (q.normal.tolist(), q.offset) for q in blocked_planes]
+
+
+def test_scoring_memory_does_not_grow_with_points():
+    """Scoring works in fixed-size buffers: the tracemalloc peak of a pass
+    per point falls as the cloud grows, where a per-point distance matrix
+    keeps it flat at several kB."""
+    params = RansacParams(seed=0, max_iterations=cleaning._HYPOTHESIS_CHUNK, max_planes=1)
+    per_point = []
+    for n in (20_000, 80_000):
+        cloud, _ = stall_scene(seed=1, n_floor=n // 2, n_wall=n // 8, n_blob=n // 4)
+        tracemalloc.start()
+        try:
+            segment_planes(cloud, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_point.append(peak / cloud.n_points)
+    assert per_point[1] < 0.8 * per_point[0], per_point

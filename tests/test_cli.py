@@ -82,6 +82,23 @@ def test_clean_partial_failure(scene_dir, tmp_path, capsys):
     assert "broken.xyz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header_line", ["element vertex abc", "element vertex", "property float"])
+def test_clean_bad_ply_header_fails_alone(tmp_path, capsys, header_line):
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    cloud, _ = stall_scene(seed=0, n_floor=600, n_wall=300, n_blob=500)
+    save_point_cloud(cloud, scans / "good.ply", PLY_BINARY_LE)
+    lines = ["ply", "format ascii 1.0", "element vertex 1", "property float x", "property float y",
+             "property float z", "end_header", "0 0 0"]
+    lines[2 if header_line.startswith("element") else 5] = header_line
+    (scans / "bad.ply").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["clean", str(scans), "--out", str(out)]) == 1
+    rows = _read_csv(out / "summary.csv")
+    assert [r[0] for r in rows[1:]] == ["good"]
+    assert "bad.ply" in capsys.readouterr().err
+
+
 def test_clean_jobs_independent(scene_dir, tmp_path):
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert main(["clean", str(scene_dir), "--out", str(out1), "--jobs", "1"]) == 0
@@ -281,6 +298,18 @@ def test_predict_wrong_feature_count(herd_csv, small_config, tmp_path, capsys):
     assert main(["predict", str(train_out / "model.json"), str(narrow),
                  "--out", str(tmp_path / "p")]) == 1
     assert "expected 32 features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[]", b'{"format_version": 2}',
+                                     b'{"format_version": 1, "weights": []}'])
+def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    features = tmp_path / "features.csv"
+    features.write_text("animal_id,f1\nx,1.0\n")
+    assert main(["predict", str(model), str(features), "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.json" in err
 
 
 def test_fuse_sim_zero_noise(tmp_path):

@@ -64,3 +64,10 @@ def test_weights_csv(tmp_path):
     bad.write_text("id,kg\ncow1,512.5\n")
     with pytest.raises(ParseError):
         load_weights_csv(bad)
+
+
+def test_weights_csv_duplicate_id_names_both_lines(tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("animal_id,weight_kg\ncow1,512.5\ncow2,498\n\ncow1,600\n")
+    with pytest.raises(ParseError, match=r"dup.csv:5: animal_id 'cow1' repeats line 2"):
+        load_weights_csv(p)

@@ -157,3 +157,85 @@ def test_cloud_validation():
         PointCloud(np.array([[0.0, 0.0, np.nan]]))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("fmt, name", [(XYZ_ASCII, "bin.xyz"), (CSV_FORMAT, "bin.csv"),
+                                       (PLY_ASCII, "bin.ply")])
+def test_non_utf8_text_is_parse_error(tmp_path, fmt, name):
+    p = tmp_path / name
+    head = (b"ply\nformat ascii 1.0\nelement vertex 1\n"
+            b"property float x\nproperty float y\nproperty float z\nend_header\n") if fmt == PLY_ASCII else b""
+    p.write_bytes(head + b"0 0 \xff\xfe\x00\x80 1\n")
+    with pytest.raises(ParseError):
+        load_point_cloud(p, fmt)
+
+
+@pytest.mark.parametrize("line", ["element vertex abc", "element vertex", "element vertex 3 4",
+                                  "element vertex -3", "property float", "property list uchar x",
+                                  "format"])
+@pytest.mark.parametrize("fmt", [PLY_ASCII, PLY_BINARY_LE])
+def test_malformed_ply_header_is_parse_error(tmp_path, line, fmt):
+    token = "ascii" if fmt == PLY_ASCII else "binary_little_endian"
+    lines = [f"format {token} 1.0", "element vertex 1", "property float x", "property float y",
+             "property float z"]
+    if line.startswith("element"):
+        lines[1] = line
+    else:
+        lines.insert(5 if line.startswith("property") else 1, line)
+    p = tmp_path / "bad.ply"
+    p.write_bytes(("ply\n" + "\n".join(lines) + "\nend_header\n").encode() + b"0 0 0\n")
+    with pytest.raises(ParseError, match="malformed header line"):
+        load_point_cloud(p, fmt)
+
+
+def test_ply_binary_hostile_counts_are_parse_errors(tmp_path):
+    body = np.zeros(3, dtype="<f4").tobytes()
+    xyz = "property float x\nproperty float y\nproperty float z\n"
+    for head in (f"element vertex 99999999999999999999\n{xyz}",
+                 f"element face 99999999999999999999999\nproperty uchar a\nelement vertex 1\n{xyz}",
+                 f"element vertex 1\n{xyz}property float x\n"):
+        p = tmp_path / "hostile.ply"
+        p.write_bytes(f"ply\nformat binary_little_endian 1.0\n{head}end_header\n".encode() + body)
+        with pytest.raises(ParseError):
+            load_point_cloud(p, PLY_BINARY_LE)
+
+
+def test_csv_reader_error_is_parse_error(tmp_path):
+    p = tmp_path / "huge_field.csv"
+    p.write_text("0,0,0\n1," + "1" * 200_000 + ",0\n")
+    with pytest.raises(ParseError, match=":2: field larger than field limit"):
+        load_point_cloud(p, CSV_FORMAT)
+
+
+def test_first_bad_line_is_reported(tmp_path):
+    """Errors name the first bad line in file order, whatever its kind."""
+    p = tmp_path / "two_faults.xyz"
+    p.write_text("0 0 0\n1 two 3\n\n1 2\n")
+    with pytest.raises(ParseError, match=r":2: cannot parse 'two'"):
+        load_point_cloud(p, XYZ_ASCII)
+    p.write_text("0 0 0\n1 2\n1 two 3\n")
+    with pytest.raises(ParseError, match=r":2: expected 3 fields"):
+        load_point_cloud(p, XYZ_ASCII)
+    p = tmp_path / "short.ply"
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+                 "property float z\nend_header\n0 0 0\n1 1\n")
+    with pytest.raises(ParseError, match="vertex 1: expected 3 fields"):
+        load_point_cloud(p, PLY_ASCII)
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+                 "property float z\nend_header\n0 0 0\n1 1 1\n")
+    with pytest.raises(ParseError, match="file ends at 2"):
+        load_point_cloud(p, PLY_ASCII)
+
+
+def test_text_values_match_float_token_by_token(tmp_path):
+    """Array-native parsing gives float()'s value for every token, including
+    underscores, non-ASCII digits, exponents below the float range, CRLF and
+    lone-CR line ends, and CSV cells padded with non-ASCII-space whitespace."""
+    tokens = ["1_000", "١٢", "1e-400", "-0.0", "4.9e-324", ".5", "+7.", "0.1", "2", "3"]
+    want = np.array([float(t) for t in tokens[:9]]).reshape(3, 3)
+    p = tmp_path / "odd.xyz"
+    p.write_text("\r\n".join(" ".join(tokens[i:i + 3]) for i in (0, 3)) + "\r" + " ".join(tokens[6:9]))
+    np.testing.assert_array_equal(load_point_cloud(p, XYZ_ASCII).points, want)
+    p = tmp_path / "odd.csv"
+    p.write_text("x,y,z\n" + "\n".join(",".join(f"\x1c{t} " for t in tokens[i:i + 3]) for i in (0, 3, 6)))
+    np.testing.assert_array_equal(load_point_cloud(p, CSV_FORMAT).points, want)

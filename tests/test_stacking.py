@@ -269,6 +269,10 @@ def test_ensemble_serialisation_roundtrip():
     clone = ensemble_from_dict(ensemble_to_dict(ens))
     grid = np.random.default_rng(5).uniform(0.5, 2.0, size=(9, 2))
     np.testing.assert_array_equal(predict_stack(clone, grid), predict_stack(ens, grid))
+    short = ensemble_to_dict(ens)
+    short["weights"] = short["weights"][:1]
+    with pytest.raises(ValueError, match="2 models"):
+        ensemble_from_dict(short)
 
 
 def test_fit_stack_m_top_bounds():
