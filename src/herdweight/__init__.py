@@ -55,11 +55,10 @@ from .pointcloud import (
     load_point_cloud,
     save_point_cloud,
 )
-from .regressors import ModelSpec, default_model_specs, fit, predict
+from .regressors import ModelSpec, default_model_specs, fit
 from .stacking import (
     ModelRanking,
     StackedEnsemble,
-    build_meta_features,
     fit_stack,
     predict_stack,
     rank_base_models,
@@ -78,7 +77,6 @@ __all__ = [
     "agreement_fuse", "average_fuse", "consensus_center", "constant_schedule",
     "deviations", "geometric_schedule", "simulate_trajectory",
     "FORMATS", "PointCloud", "detect_format", "load_point_cloud", "save_point_cloud",
-    "ModelSpec", "default_model_specs", "fit", "predict",
-    "ModelRanking", "StackedEnsemble", "build_meta_features", "fit_stack",
-    "predict_stack", "rank_base_models",
+    "ModelSpec", "default_model_specs", "fit",
+    "ModelRanking", "StackedEnsemble", "fit_stack", "predict_stack", "rank_base_models",
 ]

@@ -48,10 +48,16 @@ _CLOUD_SUFFIXES = (".xyz", ".txt", ".csv", ".ply")
 
 
 def _gather_inputs(pattern: str) -> list[Path]:
+    """Regular files with a scan suffix in a directory, or matching a glob.
+
+    A dangling symlink is kept, so that it fails alone like any bad scan.
+    """
     p = Path(pattern)
     if p.is_dir():
-        return sorted(q for q in p.iterdir() if q.suffix.lower() in _CLOUD_SUFFIXES)
-    return sorted(Path(m) for m in glob.glob(pattern))
+        found = (q for q in p.iterdir() if q.suffix.lower() in _CLOUD_SUFFIXES)
+    else:
+        found = map(Path, glob.glob(pattern))
+    return sorted(q for q in found if q.is_file() or not q.exists())
 
 
 def _prepare_out(args) -> Path:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IoError, NonFiniteInput, NonPositiveTarget, ParseError
 from .features import FEATURE_NAMES
-from .files import open_fresh
+from .files import open_fresh, read_csv
 
 DATASET_HEADER = ("animal_id", *FEATURE_NAMES, "weight_kg")
 WEIGHTS_HEADER = ("animal_id", "weight_kg")
@@ -83,67 +83,62 @@ def load_features_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 def _read_feature_rows(path, require_weight: bool, strict: bool = True):
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    records = read_csv(path)
+    if not records:
+        raise ParseError(f"{path}: empty file")
+    header = records[0]
+    if strict:
+        has_weight = tuple(header) == DATASET_HEADER
+        if not has_weight and tuple(header) != DATASET_HEADER[:-1]:
+            raise ParseError(f"{path}: header does not match the feature schema")
+    else:
+        if not header or header[0] != "animal_id":
+            raise ParseError(f"{path}: first column must be animal_id")
+        has_weight = header[-1] == "weight_kg"
+    if require_weight and not has_weight:
+        raise ParseError(f"{path}: missing weight_kg column")
+    width = len(header)
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    weights: list[float] = []
+    for lineno, rec in enumerate(records[1:], start=2):
+        if not rec:
+            continue
+        if len(rec) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(rec)}")
+        ids.append(rec[0])
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if strict:
-            has_weight = tuple(header) == DATASET_HEADER
-            if not has_weight and tuple(header) != DATASET_HEADER[:-1]:
-                raise ParseError(f"{path}: header does not match the feature schema")
+            nums = [float(v) for v in rec[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if has_weight:
+            rows.append(nums[:-1])
+            weights.append(nums[-1])
         else:
-            if not header or header[0] != "animal_id":
-                raise ParseError(f"{path}: first column must be animal_id")
-            has_weight = header[-1] == "weight_kg"
-        if require_weight and not has_weight:
-            raise ParseError(f"{path}: missing weight_kg column")
-        width = len(header)
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        weights: list[float] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(rec)}")
-            ids.append(rec[0])
-            try:
-                nums = [float(v) for v in rec[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if has_weight:
-                rows.append(nums[:-1])
-                weights.append(nums[-1])
-            else:
-                rows.append(nums)
+            rows.append(nums)
     return ids, np.asarray(rows, dtype=np.float64), weights
 
 
 def load_weights_csv(path: str | Path) -> dict[str, float]:
     """id -> kg table with header animal_id,weight_kg; ids must be unique."""
     path = Path(path)
+    records = read_csv(path)
+    if not records:
+        raise ParseError(f"{path}: empty file")
+    if tuple(h.strip() for h in records[0]) != WEIGHTS_HEADER:
+        raise ParseError(f"{path}: expected header animal_id,weight_kg")
     out: dict[str, float] = {}
     seen_at: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    for lineno, rec in enumerate(records[1:], start=2):
+        if not rec:
+            continue
+        if len(rec) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(rec)}")
+        if rec[0] in seen_at:
+            raise ParseError(f"{path}:{lineno}: animal_id {rec[0]!r} repeats line {seen_at[rec[0]]}")
+        seen_at[rec[0]] = lineno
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != WEIGHTS_HEADER:
-            raise ParseError(f"{path}: expected header animal_id,weight_kg")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(rec)}")
-            if rec[0] in seen_at:
-                raise ParseError(f"{path}:{lineno}: animal_id {rec[0]!r} repeats line {seen_at[rec[0]]}")
-            seen_at[rec[0]] = lineno
-            try:
-                out[rec[0]] = float(rec[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: cannot parse weight {rec[1]!r}") from None
+            out[rec[0]] = float(rec[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: cannot parse weight {rec[1]!r}") from None
     return out

@@ -1,6 +1,11 @@
-"""Opening output files."""
+"""Opening output files and reading input text."""
 
+import csv
+import io
 import os
+from pathlib import Path
+
+from .errors import ParseError
 
 
 def open_fresh(path, mode: str = "w", **kwargs):
@@ -14,3 +19,21 @@ def open_fresh(path, mode: str = "w", **kwargs):
     except FileNotFoundError:
         pass
     return open(path, mode, **kwargs)
+
+
+def read_text(path) -> str:
+    """The file's contents as UTF-8 text; other bytes are a ParseError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_csv(path) -> list[list[str]]:
+    """Every record of a UTF-8 CSV file; a malformed file is a ParseError."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None

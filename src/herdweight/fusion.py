@@ -28,14 +28,9 @@ CENTER_METHODS = ("mean", "median")
 
 @dataclass(frozen=True)
 class ViewUpdateSet:
-    """Per-view update tensors, stacked as a (V, L, D) float64 array.
-
-    ``provenance`` optionally names each view's source (camera id, image
-    path, ...); images and masks themselves never enter this module.
-    """
+    """Per-view update tensors, stacked as a (V, L, D) float64 array."""
 
     updates: np.ndarray
-    provenance: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         u = np.asarray(self.updates, dtype=np.float64)
@@ -44,15 +39,10 @@ class ViewUpdateSet:
         if not np.isfinite(u).all():
             raise ValueError("updates contain NaN or Inf")
         object.__setattr__(self, "updates", u)
-        if self.provenance is not None:
-            tags = tuple(str(t) for t in self.provenance)
-            if len(tags) != u.shape[0]:
-                raise ValueError(f"need one provenance tag per view, got {len(tags)} for {u.shape[0]}")
-            object.__setattr__(self, "provenance", tags)
 
     @classmethod
-    def from_views(cls, views, provenance=None) -> "ViewUpdateSet":
-        return cls(np.stack([np.asarray(v, dtype=np.float64) for v in views]), provenance=provenance)
+    def from_views(cls, views) -> "ViewUpdateSet":
+        return cls(np.stack([np.asarray(v, dtype=np.float64) for v in views]))
 
     @property
     def n_views(self) -> int:

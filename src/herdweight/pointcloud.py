@@ -10,8 +10,6 @@ deduplicated.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -21,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyCloud, IoError, NonFiniteCoordinate, ParseError
-from .files import open_fresh
+from .files import open_fresh, read_csv, read_text
 
 XYZ_ASCII = "xyz-ascii"
 CSV_FORMAT = "csv"
@@ -113,14 +111,6 @@ def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
     return PointCloud(pts)
 
 
-def _read_text(path: Path) -> str:
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 # The loaders below parse every row in one pass and convert all tokens at
 # once. When that fails, they re-scan row by row, which raises the error
 # of the first bad line, or (for oddities the fast pass does not cover)
@@ -128,7 +118,7 @@ def _read_text(path: Path) -> str:
 
 def _load_xyz(path: Path) -> np.ndarray:
     # Universal newlines, as when iterating over a text-mode file.
-    lines = _read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     rows = [parts for parts in map(str.split, lines) if parts]
     if set(map(len, rows)) <= {3}:
         pts = _coordinates(rows)
@@ -144,11 +134,7 @@ def _load_xyz(path: Path) -> np.ndarray:
 
 
 def _load_csv(path: Path) -> np.ndarray:
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    try:
-        records = list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    records = read_csv(path)
     blank = [not "".join(rec).strip() for rec in records]
     cols = (0, 1, 2)
     if records and not blank[0] and _looks_like_header(records[0]):

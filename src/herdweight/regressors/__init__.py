@@ -9,8 +9,6 @@ from .base import (
     default_model_specs,
     fit,
     model_from_dict,
-    model_to_dict,
-    predict,
     spec_from_dict,
     spec_to_dict,
     validate_spec,
@@ -25,8 +23,6 @@ __all__ = [
     "default_model_specs",
     "fit",
     "model_from_dict",
-    "model_to_dict",
-    "predict",
     "spec_from_dict",
     "spec_to_dict",
     "validate_spec",

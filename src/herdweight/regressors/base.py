@@ -1,7 +1,8 @@
-"""Model specs, input validation, and the fit/predict dispatch.
+"""Model specs, input validation, and the family table behind ``fit``.
 
-Eleven families share the contract: linear-ish families (ols, ridge,
-lasso, elastic_net, huber) and knn standardise features internally; tree
+Eleven families share the contract, each declared once in the table at
+the bottom of this module: linear-ish families (ols, ridge, lasso,
+elastic_net, huber) and knn standardise features internally; tree
 families work on raw features. Fitting is deterministic given
 (spec, X, y) — tree randomness is driven by per-tree streams derived
 from (seed, tree index).
@@ -10,8 +11,9 @@ from (seed, tree index).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -20,38 +22,6 @@ from ..errors import (
     InvalidHyperparameter,
     NonFiniteInput,
     NonPositiveTarget,
-)
-
-FAMILIES = (
-    "ols",
-    "ridge",
-    "lasso",
-    "elastic_net",
-    "huber",
-    "knn",
-    "decision_tree",
-    "random_forest",
-    "extra_trees",
-    "adaboost",
-    "gradient_boosting",
-)
-
-_STANDARDISED_FAMILIES = frozenset({"ols", "ridge", "lasso", "elastic_net", "huber", "knn"})
-
-DEFAULT_FAMILY_PARAMS: Mapping[str, dict] = MappingProxyType(
-    {
-        "ols": {},
-        "ridge": {"alpha": 1.0},
-        "lasso": {"alpha": 1.0, "tol": 1e-7, "max_sweeps": 10_000},
-        "elastic_net": {"alpha": 1.0, "l1_ratio": 0.5, "tol": 1e-7, "max_sweeps": 10_000},
-        "huber": {"delta": 1.35, "max_iter": 100, "tol": 1e-8},
-        "knn": {"k": 5},
-        "decision_tree": {"max_depth": None},
-        "random_forest": {"n_trees": 300, "max_depth": None},
-        "extra_trees": {"n_trees": 300, "max_depth": None},
-        "adaboost": {"n_rounds": 200, "max_depth": 4},
-        "gradient_boosting": {"n_rounds": 500, "max_depth": 3, "learning_rate": 0.05},
-    }
 )
 
 # Stand-ins for third-party boosting variants: same family, three profiles.
@@ -164,7 +134,14 @@ class FittedModel:
     def _state_dict(self) -> dict:
         raise NotImplementedError
 
+    @classmethod
+    def _from_state(cls, spec: ModelSpec, feature_mean, feature_scale, state: dict) -> FittedModel:
+        """Inverse of ``_state_dict``; by default its keys are the
+        constructor's remaining arguments."""
+        return cls(spec, feature_mean, feature_scale, **state)
+
     def to_dict(self) -> dict:
+        """JSON-ready serialisation; floats keep full precision via repr."""
         return {"kind": self.kind, "spec": spec_to_dict(self.spec),
                 "feature_mean": self.feature_mean.tolist(),
                 "feature_scale": self.feature_scale.tolist(),
@@ -205,53 +182,11 @@ def fit(spec: ModelSpec, X, y) -> FittedModel:
     Rank-deficient linear systems resolve through the pseudo-inverse
     rather than erroring.
     """
-    from . import linear, neighbors, trees
-
     validate_spec(spec)
     X, y = _validate_training_data(X, y)
-    mean, scale = _standardisation(X, identity=spec.family not in _STANDARDISED_FAMILIES)
-    Xs = (X - mean) / scale
-    params = spec.resolved_params()
-
-    if spec.family == "ols":
-        return linear.fit_ols(spec, Xs, y, mean, scale)
-    if spec.family == "ridge":
-        return linear.fit_ridge(spec, Xs, y, mean, scale, alpha=params["alpha"])
-    if spec.family == "lasso":
-        return linear.fit_coordinate_descent(
-            spec, Xs, y, mean, scale, alpha=params["alpha"], l1_ratio=1.0,
-            tol=params["tol"], max_sweeps=params["max_sweeps"])
-    if spec.family == "elastic_net":
-        return linear.fit_coordinate_descent(
-            spec, Xs, y, mean, scale, alpha=params["alpha"], l1_ratio=params["l1_ratio"],
-            tol=params["tol"], max_sweeps=params["max_sweeps"])
-    if spec.family == "huber":
-        return linear.fit_huber(
-            spec, Xs, y, mean, scale, delta=params["delta"],
-            max_iter=params["max_iter"], tol=params["tol"])
-    if spec.family == "knn":
-        return neighbors.fit_knn(spec, Xs, y, mean, scale, k=params["k"])
-    if spec.family == "decision_tree":
-        return trees.fit_decision_tree(spec, Xs, y, mean, scale, max_depth=params["max_depth"])
-    if spec.family == "random_forest":
-        return trees.fit_forest(spec, Xs, y, mean, scale, n_trees=params["n_trees"],
-                                max_depth=params["max_depth"], bootstrap=True, random_thresholds=False)
-    if spec.family == "extra_trees":
-        return trees.fit_forest(spec, Xs, y, mean, scale, n_trees=params["n_trees"],
-                                max_depth=params["max_depth"], bootstrap=False, random_thresholds=True)
-    if spec.family == "adaboost":
-        return trees.fit_adaboost(spec, Xs, y, mean, scale, n_rounds=params["n_rounds"],
-                                  max_depth=params["max_depth"])
-    if spec.family == "gradient_boosting":
-        return trees.fit_gradient_boosting(spec, Xs, y, mean, scale, n_rounds=params["n_rounds"],
-                                           max_depth=params["max_depth"],
-                                           learning_rate=params["learning_rate"])
-    raise InvalidHyperparameter(f"unknown model family {spec.family!r}")
-
-
-def predict(model: FittedModel, X) -> np.ndarray:
-    """Uniform prediction surface; see FittedModel.predict."""
-    return model.predict(X)
+    family = _FAMILY_TABLE[spec.family]
+    mean, scale = _standardisation(X, identity=not family.standardise)
+    return family.fit(spec, (X - mean) / scale, y, mean, scale, **spec.resolved_params())
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
@@ -263,24 +198,49 @@ def spec_from_dict(d: dict) -> ModelSpec:
                      seed=int(d.get("seed", 0)))
 
 
-def model_to_dict(model: FittedModel) -> dict:
-    """JSON-ready serialisation; floats keep full precision via repr."""
-    return model.to_dict()
-
-
 def model_from_dict(d: dict) -> FittedModel:
-    from . import linear, neighbors, trees
-
-    kinds = {
-        "linear": linear.LinearModel,
-        "knn": neighbors.KNNModel,
-        "decision_tree": trees.DecisionTreeModel,
-        "forest": trees.ForestModel,
-        "adaboost": trees.AdaBoostModel,
-        "gradient_boosting": trees.GradientBoostingModel,
-    }
+    """Inverse of ``FittedModel.to_dict``."""
     try:
-        cls = kinds[d["kind"]]
+        cls = _MODEL_KINDS[d["kind"]]
     except KeyError:
         raise ValueError(f"unknown model kind {d.get('kind')!r}") from None
-    return cls._from_dict(d)
+    return cls._from_state(spec_from_dict(d["spec"]), np.array(d["feature_mean"]),
+                           np.array(d["feature_scale"]), d["state"])
+
+
+class Family(NamedTuple):
+    """One regressor family: default hyperparameters, whether features
+    are standardised, and ``fit(spec, Xs, y, mean, scale, **params)``."""
+
+    defaults: dict
+    standardise: bool
+    fit: Callable[..., FittedModel]
+
+
+# The family modules subclass FittedModel, so they load after it.
+from . import linear, neighbors, trees  # noqa: E402
+
+_FAMILY_TABLE: Mapping[str, Family] = MappingProxyType({
+    "ols": Family({}, True, linear.fit_ols),
+    "ridge": Family({"alpha": 1.0}, True, linear.fit_ridge),
+    "lasso": Family({"alpha": 1.0, "tol": 1e-7, "max_sweeps": 10_000}, True,
+                    partial(linear.fit_coordinate_descent, l1_ratio=1.0)),
+    "elastic_net": Family({"alpha": 1.0, "l1_ratio": 0.5, "tol": 1e-7, "max_sweeps": 10_000}, True,
+                          linear.fit_coordinate_descent),
+    "huber": Family({"delta": 1.35, "max_iter": 100, "tol": 1e-8}, True, linear.fit_huber),
+    "knn": Family({"k": 5}, True, neighbors.fit_knn),
+    "decision_tree": Family({"max_depth": None}, False, trees.fit_decision_tree),
+    "random_forest": Family({"n_trees": 300, "max_depth": None}, False,
+                            partial(trees.fit_forest, bootstrap=True, random_thresholds=False)),
+    "extra_trees": Family({"n_trees": 300, "max_depth": None}, False,
+                          partial(trees.fit_forest, bootstrap=False, random_thresholds=True)),
+    "adaboost": Family({"n_rounds": 200, "max_depth": 4}, False, trees.fit_adaboost),
+    "gradient_boosting": Family({"n_rounds": 500, "max_depth": 3, "learning_rate": 0.05}, False,
+                                trees.fit_gradient_boosting),
+})
+
+# Declaration order is the ranking's tie-break order.
+FAMILIES = tuple(_FAMILY_TABLE)
+DEFAULT_FAMILY_PARAMS: Mapping[str, dict] = MappingProxyType(
+    {name: family.defaults for name, family in _FAMILY_TABLE.items()})
+_MODEL_KINDS = {cls.kind: cls for cls in FittedModel.__subclasses__()}

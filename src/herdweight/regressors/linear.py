@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec, spec_from_dict
+from .base import FittedModel, ModelSpec
 
 
 class LinearModel(FittedModel):
@@ -34,11 +34,6 @@ class LinearModel(FittedModel):
 
     def _state_dict(self):
         return {"coef": self.coef.tolist(), "intercept": self.intercept}
-
-    @classmethod
-    def _from_dict(cls, d):
-        return cls(spec_from_dict(d["spec"]), np.array(d["feature_mean"]), np.array(d["feature_scale"]),
-                   np.array(d["state"]["coef"]), d["state"]["intercept"])
 
 
 def fit_ols(spec: ModelSpec, Xs, y, mean, scale) -> LinearModel:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec, spec_from_dict
+from .base import FittedModel, ModelSpec
 
 
 class KNNModel(FittedModel):
@@ -32,12 +32,6 @@ class KNNModel(FittedModel):
 
     def _state_dict(self):
         return {"train_std": self.train_std.tolist(), "targets": self.targets.tolist(), "k": self.k}
-
-    @classmethod
-    def _from_dict(cls, d):
-        s = d["state"]
-        return cls(spec_from_dict(d["spec"]), np.array(d["feature_mean"]), np.array(d["feature_scale"]),
-                   np.array(s["train_std"]), np.array(s["targets"]), s["k"])
 
 
 def fit_knn(spec: ModelSpec, Xs, y, mean, scale, *, k: int) -> KNNModel:

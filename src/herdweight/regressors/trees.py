@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec, spec_from_dict
+from .base import FittedModel, ModelSpec
 
 
 class Tree:
@@ -164,9 +164,8 @@ class DecisionTreeModel(FittedModel):
         return {"tree": self.tree.to_dict()}
 
     @classmethod
-    def _from_dict(cls, d):
-        return cls(spec_from_dict(d["spec"]), np.array(d["feature_mean"]), np.array(d["feature_scale"]),
-                   Tree.from_dict(d["state"]["tree"]))
+    def _from_state(cls, spec, feature_mean, feature_scale, state):
+        return cls(spec, feature_mean, feature_scale, Tree.from_dict(state["tree"]))
 
 
 class ForestModel(FittedModel):
@@ -193,9 +192,8 @@ class ForestModel(FittedModel):
         return {"trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
-    def _from_dict(cls, d):
-        return cls(spec_from_dict(d["spec"]), np.array(d["feature_mean"]), np.array(d["feature_scale"]),
-                   [Tree.from_dict(t) for t in d["state"]["trees"]])
+    def _from_state(cls, spec, feature_mean, feature_scale, state):
+        return cls(spec, feature_mean, feature_scale, [Tree.from_dict(t) for t in state["trees"]])
 
 
 class AdaBoostModel(FittedModel):
@@ -223,9 +221,9 @@ class AdaBoostModel(FittedModel):
         return {"trees": [t.to_dict() for t in self.trees], "betas": self.betas.tolist()}
 
     @classmethod
-    def _from_dict(cls, d):
-        return cls(spec_from_dict(d["spec"]), np.array(d["feature_mean"]), np.array(d["feature_scale"]),
-                   [Tree.from_dict(t) for t in d["state"]["trees"]], np.array(d["state"]["betas"]))
+    def _from_state(cls, spec, feature_mean, feature_scale, state):
+        return cls(spec, feature_mean, feature_scale, [Tree.from_dict(t) for t in state["trees"]],
+                   state["betas"])
 
 
 class GradientBoostingModel(FittedModel):
@@ -250,10 +248,9 @@ class GradientBoostingModel(FittedModel):
                 "trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
-    def _from_dict(cls, d):
-        s = d["state"]
-        return cls(spec_from_dict(d["spec"]), np.array(d["feature_mean"]), np.array(d["feature_scale"]),
-                   s["init"], s["learning_rate"], [Tree.from_dict(t) for t in s["trees"]])
+    def _from_state(cls, spec, feature_mean, feature_scale, state):
+        return cls(spec, feature_mean, feature_scale, state["init"], state["learning_rate"],
+                   [Tree.from_dict(t) for t in state["trees"]])
 
 
 def fit_decision_tree(spec: ModelSpec, Xs, y, mean, scale, *, max_depth) -> DecisionTreeModel:

@@ -32,7 +32,6 @@ from .regressors import (
     ModelSpec,
     fit,
     model_from_dict,
-    model_to_dict,
     spec_from_dict,
     spec_to_dict,
 )
@@ -129,16 +128,6 @@ def rank_base_models(X, y, specs, *, k: int = 5, seed: int = 0,
     entries = tuple(RankedModel(name=specs[m].name, mape=means[m][0], r2=means[m][1], mae=means[m][2])
                     for m in order)
     return ModelRanking(entries=entries)
-
-
-def build_meta_features(X, y, top_specs, *, k: int = 5, seed: int = 0,
-                        folds: FoldAssignment | None = None, log=None,
-                        sample_ids=None) -> np.ndarray:
-    """Out-of-fold prediction matrix for the selected top specs."""
-    y = np.asarray(y, dtype=np.float64)
-    if folds is None:
-        folds = kfold_split(len(y), k, seed)
-    return oof_predictions(X, y, top_specs, folds, log=log, sample_ids=sample_ids)
 
 
 def ridge_combiner(meta: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
@@ -258,7 +247,7 @@ def ensemble_to_dict(ensemble: StackedEnsemble) -> dict:
         "weights": ensemble.weights.tolist(),
         "intercept": ensemble.intercept,
         "specs": [spec_to_dict(s) for s in ensemble.specs],
-        "models": [model_to_dict(m) for m in ensemble.models],
+        "models": [m.to_dict() for m in ensemble.models],
         "ranking": [{"name": e.name, "mape": e.mape, "r2": e.r2, "mae": e.mae}
                     for e in ensemble.ranking.entries],
     }

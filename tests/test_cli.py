@@ -106,6 +106,26 @@ def test_clean_jobs_independent(scene_dir, tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
+def test_subdirectory_named_like_a_scan_is_skipped(tmp_path):
+    d = tmp_path / "scans"
+    d.mkdir()
+    cloud, _ = stall_scene(seed=0, n_floor=600, n_wall=300, n_blob=500)
+    save_point_cloud(cloud, d / "cow.xyz", XYZ_ASCII)
+    (d / "dir.ply").mkdir()
+    for i, source in enumerate((d, d / "*")):
+        out = tmp_path / f"clean{i}"
+        assert main(["clean", str(source), "--out", str(out)]) == 0
+        assert [r[0] for r in _read_csv(out / "summary.csv")[1:]] == ["cow"]
+    weights = tmp_path / "w.csv"
+    weights.write_text("animal_id,weight_kg\ncow,500\n")
+    assert main(["features", str(d), str(weights), "--out", str(tmp_path / "f")]) == 0
+    assert [r[0] for r in _read_csv(tmp_path / "f" / "dataset.csv")[1:]] == ["cow"]
+    # a dangling link is no directory: it still fails alone
+    (d / "gone.xyz").symlink_to(tmp_path / "missing.xyz")
+    assert main(["clean", str(d), "--out", str(tmp_path / "c")]) == 1
+    assert [r[0] for r in _read_csv(tmp_path / "c" / "summary.csv")[1:]] == ["cow"]
+
+
 def test_features_two_clouds(tmp_path):
     d = tmp_path / "clouds"
     d.mkdir()
@@ -310,6 +330,31 @@ def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
     assert main(["predict", str(model), str(features), "--out", str(tmp_path / "p")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "model.json" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"animal_id,weight_kg\n\xff,500\n", "not UTF-8 text (invalid start byte at byte 20)"),
+    (b"animal_id,weight_kg\n" + b"x" * 200_000 + b",500\n", ":2: field larger than field limit"),
+], ids=["not-utf8", "csv-error"])
+@pytest.mark.parametrize("command", ["features", "cv", "train", "predict"])
+def test_unreadable_csv_is_data_error(herd_csv, small_config, tmp_path, capsys, command, content,
+                                      message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    if command == "features":
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        save_point_cloud(PointCloud(CUBE), scans / "cube.xyz", XYZ_ASCII)
+        argv = ["features", str(scans), str(bad)]
+    elif command == "predict":
+        model = tmp_path / "model"
+        assert main(["train", str(herd_csv), "--config", str(small_config), "--out", str(model)]) == 0
+        argv = ["predict", str(model / "model.json"), str(bad)]
+    else:
+        argv = [command, str(bad), "--config", str(small_config)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and message in err
 
 
 def test_fuse_sim_zero_noise(tmp_path):

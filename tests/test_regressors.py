@@ -17,7 +17,6 @@ from herdweight.regressors import (
     default_model_specs,
     fit,
     model_from_dict,
-    model_to_dict,
     validate_spec,
 )
 
@@ -110,7 +109,7 @@ def test_random_forest_single_tree_vs_traversal_oracle():
                      params={"n_trees": 1}, seed=covering_seed)
     model = fit(spec, X, y)
     np.testing.assert_array_equal(model.predict(X), y)
-    tree_dict = model_to_dict(model)["state"]["trees"][0]
+    tree_dict = model.to_dict()["state"]["trees"][0]
     oracle = np.array([_traverse(tree_dict, row) for row in X])
     np.testing.assert_array_equal(model.predict(X), oracle)
 
@@ -268,9 +267,16 @@ def test_serialisation_roundtrip_bit_exact_all_families():
             spec = ModelSpec(name=spec.name, family=spec.family,
                              params={"n_rounds": 20}, seed=spec.seed)
         model = fit(spec, X, y)
-        payload = json.dumps(model_to_dict(model))
+        payload = json.dumps(model.to_dict())
         clone = model_from_dict(json.loads(payload))
         np.testing.assert_array_equal(clone.predict(grid), model.predict(grid))
+        assert json.dumps(clone.to_dict()) == payload
+    with pytest.raises(ValueError, match="unknown model kind 'svm'"):
+        model_from_dict({**json.loads(payload), "kind": "svm"})
+    no_scale = json.loads(payload)
+    del no_scale["feature_scale"]
+    with pytest.raises(KeyError):
+        model_from_dict(no_scale)
 
 
 def test_default_specs_cover_all_families():

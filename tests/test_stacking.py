@@ -8,7 +8,6 @@ from herdweight.evaluation import kfold_split
 from herdweight.regressors import ModelSpec, fit
 from herdweight.stacking import (
     StackedEnsemble,
-    build_meta_features,
     choose_stack_size,
     ensemble_from_dict,
     ensemble_to_dict,
@@ -92,7 +91,7 @@ def test_meta_features_leave_one_out_knn_hand_case():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([5.0, 6.0, 20.0, 21.0])
     knn1 = ModelSpec(name="knn1", family="knn", params={"k": 1})
-    meta = build_meta_features(X, y, [knn1], k=4, seed=0)
+    meta = oof_predictions(X, y, [knn1], kfold_split(4, 4, 0))
     by_sample = {float(X[i, 0]): meta[i, 0] for i in range(4)}
     assert by_sample == {0.0: 6.0, 1.0: 5.0, 10.0: 21.0, 11.0: 20.0}
 
