@@ -257,7 +257,7 @@ class NestedCV:
             rank_mapes = [e.mape for e in rec.ranking.entries[:m_top]]
             w, b = stacking.fit_combiner(rec.oof[:, cols], self.y[rec.train_ids], rec.inner,
                                          rank_mapes, alpha)
-            triples.append(compute_metrics(self.y[rec.test_ids], rec.base_test[:, :m_top] @ w + b))
+            triples.append(compute_metrics(self.y[rec.test_ids], rec.base_test[:, :w.size] @ w + b))
         return report_from_triples(triples)
 
     def sweep(self, m_values, alpha: float) -> list[SweepRow]:

@@ -40,21 +40,9 @@ class ViewUpdateSet:
             raise ValueError("updates contain NaN or Inf")
         object.__setattr__(self, "updates", u)
 
-    @classmethod
-    def from_views(cls, views) -> "ViewUpdateSet":
-        return cls(np.stack([np.asarray(v, dtype=np.float64) for v in views]))
-
-    @property
-    def n_views(self) -> int:
-        return self.updates.shape[0]
-
     @property
     def n_locations(self) -> int:
         return self.updates.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        return self.updates.shape[2]
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ Of the top-m ranked models the combiner uses only the leading s, with s
 chosen by CV on the folds that produced the meta-features and the
 one-standard-error rule (Breiman et al., CART, 1984; Hastie et al.,
 ESL, 7.10): the smallest size whose mean per-animal absolute percentage
-error is within one standard error of the best size's. All m models are
-still refit and kept; the weights past s are exactly 0. On kg-scale
-meta-features the penalty barely shrinks, so without this choice the
-combiner spreads large opposite-sign weights over nearly collinear
-columns and extra members only add variance (Breiman, Stacked
-Regressions, 1996).
+error is within one standard error of the best size's. Only those s are
+refit and kept. On kg-scale meta-features the penalty barely shrinks, so
+without this choice the combiner spreads large opposite-sign weights over
+nearly collinear columns and extra members only add variance (Breiman,
+Stacked Regressions, 1996).
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class ModelRanking:
 
 @dataclass
 class StackedEnsemble:
-    """Ranked base models refit on the full training split plus combiner."""
+    """The combiner's members refit on the full training split, one weight each."""
 
     specs: list[ModelSpec]
     models: list[FittedModel]
@@ -72,10 +71,6 @@ class StackedEnsemble:
     intercept: float
     alpha: float
     ranking: ModelRanking
-
-    @property
-    def m_top(self) -> int:
-        return len(self.models)
 
 
 def fit_base(spec: ModelSpec, X, y) -> FittedModel:
@@ -180,21 +175,18 @@ def choose_stack_size(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
 def fit_combiner(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
                  rank_mapes, alpha: float) -> tuple[np.ndarray, float]:
     """Ridge combiner on the leading ``choose_stack_size`` columns of
-    ``meta``; returns one weight per column, 0 past the chosen size."""
+    ``meta``; returns one weight per column it uses."""
     meta = np.asarray(meta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     size = choose_stack_size(meta, y, folds, rank_mapes, alpha)
-    w, intercept = ridge_combiner(meta[:, :size], y, alpha)
-    weights = np.zeros(meta.shape[1])
-    weights[:size] = w
-    return weights, intercept
+    return ridge_combiner(meta[:, :size], y, alpha)
 
 
 def fit_stack(X, y, specs, ranking: ModelRanking, *, m_top: int | None = None,
               k: int = 5, seed: int = 0, alpha: float = DEFAULT_RIDGE_ALPHA,
               folds: FoldAssignment | None = None,
               oof: np.ndarray | None = None) -> StackedEnsemble:
-    """Fit the combiner on out-of-fold meta-features; refit bases on all data.
+    """Fit the combiner on out-of-fold meta-features; refit its members on all data.
 
     ``oof``, when given, must be the (n, len(specs)) matrix aligned with
     ``specs`` and computed on ``folds`` (default ``kfold_split(n, k,
@@ -222,21 +214,18 @@ def fit_stack(X, y, specs, ranking: ModelRanking, *, m_top: int | None = None,
 
     rank_mapes = [e.mape for e in ranking.entries[:m_top]]
     weights, intercept = fit_combiner(meta, y, folds, rank_mapes, alpha)
-    models = [fit_base(spec, X, y) for spec in top_specs]
-    return StackedEnsemble(specs=top_specs, models=models, weights=weights,
+    used = top_specs[:len(weights)]
+    models = [fit_base(spec, X, y) for spec in used]
+    return StackedEnsemble(specs=used, models=models, weights=weights,
                            intercept=intercept, alpha=alpha, ranking=ranking)
 
 
 def predict_stack(ensemble: StackedEnsemble, X) -> np.ndarray:
-    """Affine combination of the refit base predictions.
-
-    Members with weight exactly 0 are not evaluated; their column is 0.
-    """
+    """Affine combination of the refit base predictions."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D feature matrix, got shape {X.shape}")
-    base = np.column_stack([m.predict(X) if w != 0.0 else np.zeros(X.shape[0])
-                            for m, w in zip(ensemble.models, ensemble.weights)])
+    base = np.column_stack([m.predict(X) for m in ensemble.models])
     return base @ ensemble.weights + ensemble.intercept
 
 
@@ -266,6 +255,10 @@ def ensemble_from_dict(d: dict) -> StackedEnsemble:
         alpha=float(d["alpha"]),
         ranking=ranking,
     )
+    if not ensemble.models:
+        raise ValueError("the ensemble has no members")
     if ensemble.weights.shape != (len(ensemble.models),):
         raise ValueError(f"{len(ensemble.models)} models but weights of shape {ensemble.weights.shape}")
+    if not (np.isfinite(ensemble.weights).all() and np.isfinite(ensemble.intercept)):
+        raise ValueError("weights and intercept must be finite")
     return ensemble

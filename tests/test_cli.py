@@ -13,6 +13,7 @@ from herdweight.config import load_config
 from herdweight.dataset import HerdDataset, load_dataset_csv, save_dataset_csv
 from herdweight.features import FEATURE_NAMES, extract_feature_vector
 from herdweight.pointcloud import PLY_BINARY_LE, XYZ_ASCII, PointCloud, save_point_cloud
+from herdweight.regressors import ModelSpec, fit
 from herdweight.synthetic import make_herd, stall_scene
 
 CUBE = np.array([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
@@ -228,13 +229,17 @@ def fit_calls(monkeypatch):
 def test_cv_sweep_and_train_fit_each_model_once_per_fold(herd_csv, small_config, tmp_path,
                                                          fit_calls, m_top):
     """S = 3 specs, k = inner_k = 3: cv --sweep fits k * (inner_k * S + S)
-    models, train inner_k * S + m_top."""
+    models, train inner_k * S + s, where s <= m_top is the number of
+    members the combiner uses and model.json holds."""
     argv = ["--config", str(small_config), "--m-top", str(m_top)]
     assert main(["cv", str(herd_csv), "--out", str(tmp_path / "cv"), "--sweep", "1..3", *argv]) == 0
     assert len(fit_calls) == 3 * (3 * 3 + 3)
     fit_calls.clear()
     assert main(["train", str(herd_csv), "--out", str(tmp_path / "model"), *argv]) == 0
-    assert len(fit_calls) == 3 * 3 + m_top
+    model = json.loads((tmp_path / "model" / "model.json").read_text())
+    s = len(model["models"])
+    assert 1 <= s < m_top and len(model["weights"]) == s  # this herd needs fewer than m_top
+    assert len(fit_calls) == 3 * 3 + s
 
 
 def test_cv_ranking_equals_direct_ranking(herd_csv, small_config, tmp_path):
@@ -320,8 +325,25 @@ def test_predict_wrong_feature_count(herd_csv, small_config, tmp_path, capsys):
     assert "expected 32 features" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[]", b'{"format_version": 2}',
-                                     b'{"format_version": 1, "weights": []}'])
+def _model_json(**fields):
+    """A one-member model.json with ``fields`` replaced."""
+    X, y = np.array([[1.0], [2.0], [3.0]]), np.array([10.0, 20.0, 30.0])
+    spec = ModelSpec(name="ols", family="ols")
+    ranking = stacking.ModelRanking(entries=(stacking.RankedModel("ols", 0.0, 1.0, 0.0),))
+    ensemble = stacking.StackedEnsemble(specs=[spec], models=[fit(spec, X, y)],
+                                        weights=np.array([1.0]), intercept=0.0, alpha=1.0,
+                                        ranking=ranking)
+    return json.dumps({**stacking.ensemble_to_dict(ensemble), **fields}).encode()
+
+
+@pytest.mark.parametrize("content", [
+    b"{not json", b"\xff\xfe", b"[]", b'{"format_version": 2}',
+    b'{"format_version": 1, "weights": []}',
+    pytest.param(_model_json(specs=[], models=[], weights=[]), id="no-members"),
+    pytest.param(_model_json(weights=[float("nan")]), id="nan-weight"),
+    pytest.param(_model_json(weights=[float("inf")]), id="inf-weight"),
+    pytest.param(_model_json(intercept=float("nan")), id="nan-intercept"),
+])
 def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
     model = tmp_path / "model.json"
     model.write_bytes(content)

@@ -1,5 +1,7 @@
 """Ranking, out-of-fold meta-features, and the ridge combiner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -166,8 +168,7 @@ def test_size_rule_drops_pure_noise_columns():
     rank_mapes = [0.1, 10.0, 11.0, 12.0, 13.0]
     assert choose_stack_size(meta, y, folds, rank_mapes, 1.0) == 1
     w, b = fit_combiner(meta, y, folds, rank_mapes, 1.0)
-    assert w.shape == (5,)
-    assert (w[1:] == 0.0).all()
+    assert w.shape == (1,)
     w1, b1 = ridge_combiner(meta[:, :1], y, 1.0)
     assert w[0] == w1[0] and b == b1
 
@@ -180,8 +181,8 @@ def test_size_rule_never_cuts_a_ranking_tie():
     assert choose_stack_size(meta[:, :2], y, folds, [0.1, 10.0], 1.0) == 1
     assert choose_stack_size(tied, y, folds, [0.1, 0.1, 10.0], 1.0) == 2
     w, _ = fit_combiner(tied, y, folds, [0.1, 0.1, 10.0], 1.0)
-    assert w[0] == pytest.approx(w[1], abs=1e-9)
-    assert w[0] != 0.0 and w[2] == 0.0
+    assert w.shape == (2,)
+    assert w[0] == pytest.approx(w[1], abs=1e-9) and w[0] != 0.0
     # a tie at every cut leaves only the full size
     assert choose_stack_size(tied, y, folds, [0.1, 0.1, 0.1], 1.0) == 3
 
@@ -217,13 +218,16 @@ def test_predict_stack_identity_and_average():
                            alpha=1.0, ranking=ranking)
     assert (predict_stack(ens2, X) == 150.0).all()
 
-    class NotEvaluated:
-        def predict(self, X):
-            raise AssertionError("a zero-weight member was evaluated")
 
-    ens3 = StackedEnsemble(specs=[], models=[model, NotEvaluated()], weights=np.array([1.0, 0.0]),
-                           intercept=0.0, alpha=1.0, ranking=ranking)
-    np.testing.assert_array_equal(predict_stack(ens3, X), model.predict(X))
+def test_fit_stack_keeps_only_the_members_the_combiner_uses():
+    X, y = _linear_herd(n=30, noise=1.0)
+    specs = [OLS, ModelSpec(name="mean", family="knn", params={"k": 30}),
+             ModelSpec(name="knn", family="knn")]
+    ranking = rank_base_models(X, y, specs, k=5, seed=3)
+    assert ranking.entries[0].name == "ols"
+    ens = fit_stack(X, y, specs, ranking, m_top=3, k=5, seed=3)
+    assert len(ens.weights) == 1
+    assert [s.name for s in ens.specs] == ["ols"] and len(ens.models) == 1
 
 
 def test_stack_output_is_affine_in_base_outputs():
@@ -261,17 +265,37 @@ def test_fit_stack_reuses_precomputed_oof_columns():
 
 def test_ensemble_serialisation_roundtrip():
     X, y = _linear_herd(n=25, noise=1.5)
-    specs = [OLS, ModelSpec(name="knn", family="knn"),
+    # the tied pair keeps the size rule from stopping at one member
+    specs = [OLS, ModelSpec(name="ols2", family="ols"), ModelSpec(name="knn", family="knn"),
              ModelSpec(name="gb", family="gradient_boosting", params={"n_rounds": 15})]
     ranking = rank_base_models(X, y, specs, k=5, seed=12)
-    ens = fit_stack(X, y, specs, ranking, m_top=2, k=5, seed=12)
+    ens = fit_stack(X, y, specs, ranking, m_top=4, k=5, seed=12)
+    assert len(ens.models) == 2
     clone = ensemble_from_dict(ensemble_to_dict(ens))
     grid = np.random.default_rng(5).uniform(0.5, 2.0, size=(9, 2))
     np.testing.assert_array_equal(predict_stack(clone, grid), predict_stack(ens, grid))
-    short = ensemble_to_dict(ens)
-    short["weights"] = short["weights"][:1]
+    long = ensemble_to_dict(ens)
+    long["weights"] = long["weights"] + [0.0]
     with pytest.raises(ValueError, match="2 models"):
-        ensemble_from_dict(short)
+        ensemble_from_dict(long)
+
+
+def test_model_file_with_zero_weight_members_predicts_over_all_columns():
+    """A model.json whose members past the used ones carry weight 0 (the
+    layout before stacks held only their used members) still loads; every
+    member is evaluated and the prediction is the full affine combination."""
+    X, y = _linear_herd(n=25, noise=1.5)
+    specs = [OLS, ModelSpec(name="knn", family="knn"),
+             ModelSpec(name="gb", family="gradient_boosting", params={"n_rounds": 15})]
+    ranking = rank_base_models(X, y, specs, k=5, seed=12)
+    models = [fit(spec, X, y) for spec in specs]
+    padded = StackedEnsemble(specs=specs, models=models, weights=np.array([0.9987, 0.0, 0.0]),
+                             intercept=0.41, alpha=1.0, ranking=ranking)
+    loaded = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(padded))))
+    assert len(loaded.models) == 3
+    grid = np.random.default_rng(5).uniform(0.5, 2.0, size=(9, 2))
+    base = np.column_stack([m.predict(grid) for m in models])
+    np.testing.assert_array_equal(predict_stack(loaded, grid), base @ padded.weights + 0.41)
 
 
 def test_fit_stack_m_top_bounds():
