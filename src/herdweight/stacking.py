@@ -257,6 +257,8 @@ def ensemble_from_dict(d: dict) -> StackedEnsemble:
     )
     if not ensemble.models:
         raise ValueError("the ensemble has no members")
+    if len(ensemble.specs) != len(ensemble.models):
+        raise ValueError(f"{len(ensemble.specs)} specs but {len(ensemble.models)} models")
     if ensemble.weights.shape != (len(ensemble.models),):
         raise ValueError(f"{len(ensemble.models)} models but weights of shape {ensemble.weights.shape}")
     if not (np.isfinite(ensemble.weights).all() and np.isfinite(ensemble.intercept)):

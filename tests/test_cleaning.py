@@ -1,5 +1,6 @@
 """RANSAC plane fitting and removal against generator-labelled scenes."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -65,13 +66,6 @@ def test_floor_plus_blob_recall_and_retention():
     blob_retention = 1.0 - removed[labels == 0].mean()
     assert plane_recall >= 0.99
     assert blob_retention >= 0.99
-
-
-def test_no_dominant_plane_is_noop():
-    rng = np.random.default_rng(5)
-    blob = ellipsoid_cloud((0.8, 0.4, 0.5), 1500, rng).points
-    cleaned = remove_planes(PointCloud(blob), RansacParams(seed=2))
-    np.testing.assert_array_equal(cleaned.points, blob)
 
 
 def test_two_walls_and_blob():
@@ -151,12 +145,97 @@ def test_blocked_scoring_matches_full_matrix(monkeypatch, n_floor, n_blob):
     monkeypatch.setattr(cleaning, "_score_hypotheses", both)
     plane, inliers = fit_plane_ransac(noisy, params)
     residue, planes = segment_planes(noisy, params)
-    assert len(scored) == 1 + len(planes) + (len(planes) < params.max_planes)
+    assert (len(scored) >= 1 + len(planes) + (len(planes) < params.max_planes)
+            and max(scored) <= cleaning._HYPOTHESIS_CHUNK)
     assert np.array_equal(plane.normal, blocked[0].normal) and plane.offset == blocked[0].offset
     np.testing.assert_array_equal(inliers, blocked[1])
     np.testing.assert_array_equal(residue.points, blocked_residue.points)
     assert [(q.normal.tolist(), q.offset) for q in planes] == [
         (q.normal.tolist(), q.offset) for q in blocked_planes]
+
+
+def _score_all(pts, params, threshold):
+    """Inline reference without the stopping rule: the draws of
+    fit_plane_ransac, every valid hypothesis scored. Returns the plane, its
+    inliers and the valid hypothesis rows."""
+    samples = np.random.default_rng(params.seed).integers(0, len(pts), size=(params.max_iterations, 3))
+    a = pts[samples[:, 0]]
+    normals = np.cross(pts[samples[:, 1]] - a, pts[samples[:, 2]] - a)
+    lengths = np.linalg.norm(normals, axis=1)
+    distinct = ((samples[:, 0] != samples[:, 1]) & (samples[:, 0] != samples[:, 2])
+                & (samples[:, 1] != samples[:, 2]))
+    rows = np.flatnonzero(distinct & (lengths > 1e-300))
+    best = rows[np.argmax(_full_matrix_counts(pts, normals, lengths, a, rows, threshold))]
+    unit = normals[best] / lengths[best]
+    inliers = np.flatnonzero(np.abs(pts @ unit - unit @ a[best]) <= threshold)
+    plane = cleaning._tls_plane(pts[inliers])
+    return plane, np.flatnonzero(plane.distances(pts) <= threshold), rows
+
+
+def _spy_on_scoring(monkeypatch):
+    """List that collects the hypothesis rows of every scoring call."""
+    calls = []
+    real = cleaning._score_hypotheses
+
+    def spy(pts, normals, lengths, a, rows, threshold):
+        calls.append(rows.copy())
+        return real(pts, normals, lengths, a, rows, threshold)
+
+    monkeypatch.setattr(cleaning, "_score_hypotheses", spy)
+    return calls
+
+
+def _blob():
+    return ellipsoid_cloud((0.8, 0.4, 0.5), 1500, np.random.default_rng(5)).points
+
+
+def test_dominant_plane_stops_early_with_the_full_scan_result(monkeypatch):
+    """A noise-free plane holding 95 % of the points needs only a few
+    samples; stopping after the first chunk keeps the plane and inliers
+    that scoring all max_iterations hypotheses gives."""
+    pts = _floor_scene()
+    params = RansacParams(inlier_threshold=0.01, threshold_is_relative=False, seed=3)
+    ref_plane, ref_inliers, valid = _score_all(pts, params, 0.01)
+    calls = _spy_on_scoring(monkeypatch)
+    plane, inliers = fit_plane_ransac(pts, params)
+    scored = np.concatenate(calls)
+    assert scored.size <= cleaning._HYPOTHESIS_CHUNK < params.max_iterations
+    np.testing.assert_array_equal(scored, valid[: scored.size])
+    assert np.array_equal(plane.normal, ref_plane.normal) and plane.offset == ref_plane.offset
+    np.testing.assert_array_equal(inliers, ref_inliers)
+
+
+def test_no_dominant_plane_is_noop(monkeypatch):
+    """With no plane in the cloud, nothing is removed, and the pass stops
+    after the log(0.01)/log(1 - 0.2**3) = 573.4 samples that would catch a
+    plane of min_plane_fraction, rounded up to whole chunks."""
+    blob = _blob()
+    params = RansacParams(seed=2)
+    bound = math.log(1 - 0.99) / math.log(1 - params.min_plane_fraction**3)
+    drawn = math.ceil(bound / cleaning._HYPOTHESIS_CHUNK) * cleaning._HYPOTHESIS_CHUNK
+    assert 573 < bound < 574 and drawn == 640 < params.max_iterations
+    _, _, valid = _score_all(blob, params, cleaning.resolve_threshold(blob, params))
+    calls = _spy_on_scoring(monkeypatch)
+    cleaned = remove_planes(PointCloud(blob), params)
+    np.testing.assert_array_equal(cleaned.points, blob)
+    np.testing.assert_array_equal(np.concatenate(calls), valid[valid < drawn])
+    assert [c.max() // cleaning._HYPOTHESIS_CHUNK for c in calls] == list(range(len(calls)))
+
+
+def test_max_iterations_caps_the_stopping_rule(monkeypatch):
+    """Below the bound, exactly the first max_iterations samples are
+    scored, a chunk at a time, and the result is the full scan's."""
+    blob = _blob()
+    params = RansacParams(seed=2, max_iterations=300)
+    threshold = cleaning.resolve_threshold(blob, params)
+    ref_plane, ref_inliers, valid = _score_all(blob, params, threshold)
+    calls = _spy_on_scoring(monkeypatch)
+    plane, inliers = fit_plane_ransac(blob, params)
+    np.testing.assert_array_equal(np.concatenate(calls), valid)
+    assert [(c.min() // cleaning._HYPOTHESIS_CHUNK, c.max() // cleaning._HYPOTHESIS_CHUNK)
+            for c in calls] == [(0, 0), (1, 1), (2, 2)]
+    assert np.array_equal(plane.normal, ref_plane.normal) and plane.offset == ref_plane.offset
+    np.testing.assert_array_equal(inliers, ref_inliers)
 
 
 def test_scoring_memory_does_not_grow_with_points():

@@ -343,6 +343,7 @@ def _model_json(**fields):
     pytest.param(_model_json(weights=[float("nan")]), id="nan-weight"),
     pytest.param(_model_json(weights=[float("inf")]), id="inf-weight"),
     pytest.param(_model_json(intercept=float("nan")), id="nan-intercept"),
+    pytest.param(_model_json(specs=[]), id="specs-models-mismatch"),
 ])
 def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
     model = tmp_path / "model.json"
