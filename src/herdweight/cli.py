@@ -236,7 +236,7 @@ def cmd_cv(args) -> int:
 
     # One nested pass: the report, the ranking and the sweep all read it.
     cv = nested_cv(X, y, config.specs, k=config.k, inner_k=config.inner_k, seed=config.seed,
-                   m_top=config.m_top, audit=args.audit, jobs=args.jobs)
+                   audit=args.audit, jobs=args.jobs)
     audit = cv.audit() if args.audit else None
     report = {
         "n_samples": len(dataset),

@@ -191,8 +191,8 @@ class OuterFold:
     on them, and ``base_test`` holds every spec refit on all outer-train
     rows and predicted on the held-out rows (columns in rank order). A
     stack of any size is scored from these with no further base fit.
-    ``log``, kept for the leakage audit, holds the fits of the top-m_top
-    stack: inner out-of-fold fits, combiner and refits.
+    ``log``, kept for the leakage audit, holds every fit the fold makes:
+    inner out-of-fold fits, combiner and refits.
     """
 
     train_ids: np.ndarray
@@ -207,7 +207,7 @@ class OuterFold:
 def _outer_fold_task(args) -> OuterFold:
     from . import stacking  # imported here to avoid a module cycle
 
-    fold, X, y, outer_seed, k, specs, inner_k, m_top, audit = args
+    fold, X, y, outer_seed, k, specs, inner_k, audit = args
     outer = kfold_split(len(y), k, outer_seed)
     train_ids = outer.train_indices(fold)
     test_ids = outer.test_indices(fold)
@@ -218,15 +218,17 @@ def _outer_fold_task(args) -> OuterFold:
     oof = stacking.oof_predictions(X_train, y_train, specs, inner, log=log, sample_ids=train_ids)
     ranking = stacking.rank_base_models(X_train, y_train, specs, k=inner_k, folds=inner, oof=oof)
     by_name = {s.name: s for s in specs}
-    ranked = ranking.top(len(specs))
-    # column_stack, not fancy indexing: a C-ordered matrix keeps the
-    # prediction's BLAS summation order, and so its last bit, fixed
-    base_test = np.column_stack([stacking.fit_base(by_name[name], X_train, y_train).predict(X_test)
-                                 for name in ranked])
+
+    def refit(name):
+        if log is not None:
+            log.record(f"refit model={name}", train_ids)
+        return stacking.fit_base(by_name[name], X_train, y_train).predict(X_test)
+
     if log is not None:
         log.record("combiner", train_ids)
-        for name in ranked[:m_top]:
-            log.record(f"refit model={name}", train_ids)
+    # column_stack, not fancy indexing: a C-ordered matrix keeps the
+    # prediction's BLAS summation order, and so its last bit, fixed
+    base_test = np.column_stack([refit(name) for name in ranking.top(len(specs))])
     return OuterFold(train_ids=train_ids, test_ids=test_ids, inner=inner, oof=oof, ranking=ranking,
                      base_test=base_test, log=log)
 
@@ -298,19 +300,17 @@ class NestedCV:
 
 
 def nested_cv(X, y, specs, *, k: int = 5, inner_k: int = 5, seed: int = 0,
-              m_top: int | None = None, audit: bool = False, jobs: int = 1) -> NestedCV:
+              audit: bool = False, jobs: int = 1) -> NestedCV:
     """Fit every outer fold of nested k-fold CV once.
 
-    With ``audit=True`` each fit of the top-``m_top`` stack (inner
-    out-of-fold fits, combiner, refits) is tagged with the sample ids it
-    saw, for the leakage audit. Outer folds can run in parallel
-    (``jobs``); the result is independent of scheduling.
+    With ``audit=True`` each fit (inner out-of-fold fits, combiner,
+    refits) is tagged with the sample ids it saw, for the leakage audit.
+    Outer folds can run in parallel (``jobs``); the result is independent
+    of scheduling.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if m_top is None:
-        m_top = len(specs)
-    tasks = [(f, X, y, seed, k, list(specs), inner_k, m_top, audit) for f in range(k)]
+    tasks = [(f, X, y, seed, k, list(specs), inner_k, audit) for f in range(k)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -332,8 +332,7 @@ def cross_validate(X, y, specs, *, m_top=None, k: int = 5, inner_k: int = 5,
     """
     if m_top is None:
         m_top = len(specs)
-    cv = nested_cv(X, y, specs, k=k, inner_k=inner_k, seed=seed, m_top=m_top, audit=audit,
-                   jobs=jobs)
+    cv = nested_cv(X, y, specs, k=k, inner_k=inner_k, seed=seed, audit=audit, jobs=jobs)
     return CVResult(report=cv.metrics(m_top, alpha), audit=cv.audit() if audit else None)
 
 

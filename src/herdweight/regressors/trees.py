@@ -1,171 +1,323 @@
 """CART trees and the ensembles built on them.
 
-The shared grower is variance-reduction CART: the best split minimises
-the summed child squared error over all candidate features, thresholds
-are midpoints between consecutive distinct sorted values, and exact ties
-resolve to the lowest feature index, then the lowest threshold. Forests
-draw per-tree PCG64 streams from (seed, tree index) so tree fits can be
-scheduled in any order without changing the result.
+Variance-reduction CART: the best split minimises the summed child
+squared error over the candidate features. Thresholds are midpoints
+between consecutive distinct sorted values or, for extra trees, one
+uniform draw between a candidate's node minimum and maximum. Exact ties
+go to the lowest feature index, then the lowest threshold.
+
+Trees grow one depth level at a time, every tree of an ensemble in the
+same pass: the pre-sorted, level-wise split search of XGBoost (Chen &
+Guestrin, KDD 2016). X is ranked once per fit. Each level orders every
+open node's rows by rank per candidate feature, takes the child sums from
+cumulative sums that restart at zero in the node, and partitions the rows
+stably between the children. Node means keep ``np.add.reduce``'s pairwise
+order and nodes are numbered in depth-first allocation order, so a tree
+is, to the last bit, the one a node-at-a-time grower builds.
+
+Forest RNG contract: tree t draws from ``default_rng([seed, t])``, first
+its bootstrap (random forest only), then one ``random((k, w))`` per depth
+level for the level's k open nodes, left to right. A node's first d
+numbers rank the features when it samples mtry < d of them (the mtry
+smallest are the candidates); for extra trees its last mtry numbers place
+the candidates' thresholds, in ascending feature order. A tree's draws
+depend neither on ``max_depth`` nor on the other trees.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from .base import FittedModel, ModelSpec
 
 
-class Tree:
-    """Flat-array binary regression tree; feature == -1 marks a leaf."""
+class TreeTable:
+    """The flat node arrays of one or more trees; feature == -1 marks a leaf.
 
-    def __init__(self, feature, threshold, left, right, value):
+    ``roots`` holds each tree's root; ``left`` and ``right`` index the
+    whole table. A fit stores each tree contiguously, from its root to the
+    next, numbered as a depth-first grower allocates nodes.
+    """
+
+    def __init__(self, feature, threshold, left, right, value, roots):
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
+        self.roots = np.asarray(roots, dtype=np.intp)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.intp)
+        """Leaf values of every tree, shape (n_trees, len(X))."""
+        m = X.shape[0]
+        node = np.repeat(self.roots, m)
+        row = np.arange(node.size) % m
         active = np.flatnonzero(self.feature[node] >= 0)
         while active.size:
             nid = node[active]
-            go_left = X[active, self.feature[nid]] <= self.threshold[nid]
+            go_left = X[row[active], self.feature[nid]] <= self.threshold[nid]
             node[active] = np.where(go_left, self.left[nid], self.right[nid])
             active = active[self.feature[node[active]] >= 0]
-        return self.value[node]
+        return self.value[node].reshape(self.roots.size, m)
 
-    def to_dict(self) -> dict:
-        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(), "right": self.right.tolist(),
-                "value": self.value.tolist()}
+    def depth_first(self) -> TreeTable:
+        """The same trees, each stored contiguously and numbered as a
+        depth-first grower (left child first) allocates nodes: the root
+        is 0, and the i-th internal node in preorder allocates 2i + 1 for
+        its left child and 2i + 2 for its right."""
+        levels, frontier = [], self.roots
+        while frontier.size:
+            levels.append(frontier[self.feature[frontier] >= 0])
+            frontier = np.stack([self.left[levels[-1]], self.right[levels[-1]]], axis=1).reshape(-1)
+        inner = np.zeros(self.value.size, dtype=np.intp)   # internal nodes in the subtree
+        for split in reversed(levels):
+            inner[split] = 1 + inner[self.left[split]] + inner[self.right[split]]
+        sizes = 2 * inner[self.roots] + 1
+        new, base, pre = np.empty_like(inner), np.empty_like(inner), np.zeros_like(inner)
+        new[self.roots] = base[self.roots] = np.cumsum(sizes) - sizes
+        for split in levels:   # pre: internal nodes before the node, in preorder
+            lt, rt, p, b = self.left[split], self.right[split], pre[split], base[split]
+            pre[lt], pre[rt], base[lt], base[rt] = p + 1, p + 1 + inner[lt], b, b
+            new[lt], new[rt] = b + 2 * p + 1, b + 2 * p + 2
+        split = self.feature >= 0
+        left, right = np.full_like(inner, -1), np.full_like(inner, -1)
+        left[new[split]], right[new[split]] = new[self.left[split]], new[self.right[split]]
+        feature, threshold, value = map(np.empty_like, (self.feature, self.threshold, self.value))
+        feature[new], threshold[new], value[new] = self.feature, self.threshold, self.value
+        return TreeTable(feature, threshold, left, right, value, new[self.roots])
+
+    def to_dicts(self) -> list[dict]:
+        """One dict per tree, child indices local to the tree."""
+        ends = self.roots[1:].tolist() + [self.value.size]
+        return [{"feature": self.feature[lo:hi].tolist(),
+                 "threshold": self.threshold[lo:hi].tolist(),
+                 "left": np.where(self.left[lo:hi] >= 0, self.left[lo:hi] - lo, -1).tolist(),
+                 "right": np.where(self.right[lo:hi] >= 0, self.right[lo:hi] - lo, -1).tolist(),
+                 "value": self.value[lo:hi].tolist()}
+                for lo, hi in zip(self.roots.tolist(), ends)]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+    def from_dicts(cls, dicts) -> TreeTable:
+        return cls.stack([cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"], [0])
+                          for d in dicts])
+
+    @classmethod
+    def stack(cls, tables) -> TreeTable:
+        """One table holding the trees of ``tables`` in order."""
+        base = np.cumsum([0] + [t.value.size for t in tables])
+
+        def joined(key, shift=False):
+            parts = [getattr(t, key) for t in tables]
+            if shift:
+                parts = [np.where(p >= 0, p + b, -1) for p, b in zip(parts, base)]
+            return np.concatenate(parts + [np.empty(0, dtype=np.intp)])
+
+        return cls(joined("feature"), joined("threshold"), joined("left", True),
+                   joined("right", True), joined("value"), joined("roots", True))
 
 
-def _best_midpoint_split(X, y, idx, feats):
-    """Best (feature, threshold) by child-SSE, or None if nothing splits."""
-    n = idx.size
-    xf = X.take(idx, axis=0).take(feats, axis=1)  # (n, f)
-    order = np.argsort(xf, axis=0, kind="stable")
-    xs = np.take_along_axis(xf, order, axis=0)
-    ys = y[idx][order]
-    cy = np.cumsum(ys, axis=0)
-    cy2 = np.cumsum(ys * ys, axis=0)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    sl, sl2 = cy[:-1], cy2[:-1]
-    sr, sr2 = cy[-1] - sl, cy2[-1] - sl2
-    nr = n - nl
-    sse = (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr)
-    sse = np.where(xs[1:] > xs[:-1], sse, np.inf)
-    flat = sse.T.reshape(-1)  # feature-major: argmin ties -> lowest feature, lowest threshold
-    j = int(np.argmin(flat))
-    if not np.isfinite(flat[j]):
-        return None
-    f_i, pos = divmod(j, n - 1)
-    return int(feats[f_i]), 0.5 * (xs[pos, f_i] + xs[pos + 1, f_i])
+def rank_columns(X) -> tuple[np.ndarray, np.ndarray]:
+    """X's columns and their dense ranks (equal values share one), both
+    feature-major with one padding column: the one sort of X per fit."""
+    n, d = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    dense = np.zeros((n, d), dtype=np.intp)
+    np.cumsum(xs[1:] > xs[:-1], axis=0, out=dense[1:])
+    ranks = np.full((d, n + 1), n)   # the padding ranks last
+    np.put_along_axis(ranks[:, :n], order.T, dense.T, axis=1)
+    return np.hstack([X.T, np.full((d, 1), np.nan)]), ranks
 
 
-def _best_random_split(X, y, idx, feats, rng):
-    """Extra-trees split: one uniform threshold per candidate feature.
-
-    Thresholds for all constant-free candidates come from a single
-    vectorised uniform draw in ascending feature order, which pins the
-    rng stream.
+def grow_trees(cols, y, idx, *, max_depth=None, mtry=None, random_thresholds=False, rngs=()):
+    """Grow one CART tree on the rows idx[t] of X (duplicates allowed) for
+    every t. ``cols`` is ``rank_columns(X)``; ``rngs`` holds one generator
+    per tree when trees draw. Returns the trees, in level order until
+    ``depth_first`` renumbers them, and the leaf value of every draw,
+    shape idx.shape.
     """
-    yn = y[idx]
-    n = yn.size
-    xf = X.take(idx, axis=0).take(feats, axis=1)  # (n, f)
-    lo = xf.min(axis=0)
-    hi = xf.max(axis=0)
-    usable = hi > lo
-    if not usable.any():
-        return None
-    thr = rng.uniform(lo[usable], hi[usable])
-    mask = xf[:, usable] <= thr  # (n, fv)
-    nl = np.add.reduce(mask, axis=0).astype(np.float64)
-    sl = yn @ mask
-    sl2 = (yn * yn) @ mask
-    tot = np.add.reduce(yn)
-    tot2 = yn @ yn
-    nr = n - nl
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sse = (sl2 - sl * sl / nl) + ((tot2 - sl2) - (tot - sl) ** 2 / nr)
-    sse = np.where((nl == 0) | (nr == 0), np.inf, sse)
-    j = int(np.argmin(sse))  # ties -> lowest candidate feature
-    if not np.isfinite(sse[j]):
-        return None
-    return int(feats[usable][j]), float(thr[j])
+    xt, ranks = cols
+    (d, n_pad), (n_trees, m) = ranks.shape, idx.shape
+    # Slot t * m + j is draw j of tree t, row rows[t * m + j] of X. One more
+    # slot pads the ragged node rows of a level: it weighs 0, ranks last,
+    # compares false with every threshold and so goes right. The columns
+    # are flat: feature f of row r is entry f * n_pad + r.
+    rows = np.append(idx.reshape(-1), n_pad - 1)
+    c = d if mtry is None or mtry >= d else mtry
+    width = 1 << m.bit_length()   # a sort key holds a position below this
+    g = SimpleNamespace(
+        d=d, mtry=c, n_pad=n_pad, n_trees=n_trees, pad=np.array([rows.size - 1]), width=width,
+        row_key=n_pad * width, rngs=rngs, random_thresholds=random_thresholds,
+        draws=(d if c < d else 0) + (c if random_thresholds else 0),
+        rows=rows, xt=xt.reshape(-1), key=ranks.reshape(-1) * width,
+        ys=np.append(y[rows[:-1]], 0.0), fitted=np.empty(rows.size), pos=np.arange(m + 8),
+        nl=np.arange(1, m + 8, dtype=np.float64), all_feats=np.arange(d)[:, None] * n_pad)
+    slots, sizes, tree_of = np.arange(rows.size - 1), np.full(n_trees, m), np.arange(n_trees)
+    levels = []
+    while sizes.size:
+        may_split = max_depth is None or len(levels) < max_depth
+        level, slots, sizes = _split_level(g, slots, sizes, tree_of, may_split)
+        levels.append(level)
+        tree_of = np.repeat(tree_of[level.split], 2)
+    # level by level, the i-th split node's children are nodes n_trees + 2i, n_trees + 2i + 1
+    value = np.concatenate([lv.value for lv in levels])
+    here = np.cumsum([0] + [lv.value.size for lv in levels[:-1]])
+    split = np.concatenate([at + lv.split for at, lv in zip(here, levels)])
+    feature, left, threshold = np.full(value.size, -1), np.full(value.size, -1), np.zeros(value.size)
+    feature[split] = np.concatenate([lv.feature for lv in levels])
+    threshold[split] = np.concatenate([lv.threshold for lv in levels])
+    left[split] = np.arange(n_trees, n_trees + 2 * split.size, 2)
+    trees = TreeTable(feature, threshold, left, np.where(left >= 0, left + 1, -1), value,
+                      np.arange(n_trees))
+    return trees, g.fitted[:-1].reshape(n_trees, m)
 
 
-def grow_tree(X, y, sample_idx, *, max_depth=None, mtry=None, random_thresholds=False, rng=None) -> Tree:
-    """Grow one CART tree on X[sample_idx] (duplicates allowed).
-
-    Nodes are expanded depth-first, left child first, which pins the
-    order of rng draws for feature subsets and random thresholds.
+def _node_sums(yv, sizes, pos):
+    """``np.add.reduce`` of each row's first sizes[i] entries, to the last
+    bit. yv is zero-padded to a multiple of 8 columns. Up to 128 numbers,
+    numpy sums eight interleaved lanes in sequence, adds the lane sums
+    pairwise and then adds the last ``size % 8`` numbers in order; longer
+    rows are summed one by one.
     """
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    k = yv.shape[0]
+    if k <= 8:  # a few nodes: cheaper one by one
+        return np.array([np.add.reduce(row[:s]) for row, s in zip(yv, sizes.tolist())])
+    lane = pos < (sizes & -8)[:, None]
+    r = np.cumsum(np.where(lane, yv, 0.0).reshape(k, -1, 8), axis=1)[:, -1]
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0::2] + r[:, 1::2]
+    tail = np.where(lane, 0.0, yv)
+    tail[:, 0] += r[:, 0] + r[:, 1]   # no lanes: adds 0.0 to the first number
+    out = np.cumsum(tail, axis=1)[:, -1]
+    for i in np.flatnonzero(sizes > 128):
+        out[i] = np.add.reduce(yv[i, :sizes[i]])
+    return out
 
-    def alloc() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
 
-    d = X.shape[1]
-    depth_cap = np.inf if max_depth is None else max_depth
-    root = alloc()
-    stack = [(root, np.asarray(sample_idx, dtype=np.intp), 0)]
-    while stack:
-        nid, idx, depth = stack.pop()
-        yn = y[idx]
-        value[nid] = float(np.add.reduce(yn) / idx.size)
-        if depth >= depth_cap or idx.size < 2 or yn.min() == yn.max():
-            continue
-        if mtry is None or mtry >= d:
-            feats = np.arange(d)
-        else:
-            feats = np.sort(rng.choice(d, size=mtry, replace=False))
-        if random_thresholds:
-            split = _best_random_split(X, y, idx, feats, rng)
-        else:
-            split = _best_midpoint_split(X, y, idx, feats)
-        if split is None:
-            continue
-        f, thr = split
-        mask = X[idx, f] <= thr
-        lid, rid = alloc(), alloc()
-        feature[nid], threshold[nid] = f, thr
-        left[nid], right[nid] = lid, rid
-        stack.append((rid, idx[~mask], depth + 1))
-        stack.append((lid, idx[mask], depth + 1))
-    return Tree(feature, threshold, left, right, value)
+_CHUNK = 1 << 18   # padded cells per chunk of nodes: bounds a level's working memory
+
+
+def _split_level(g, slots, sizes, tree_of, may_split):
+    """One depth level of every tree: node means, each open node's best
+    split, and the split nodes' slots partitioned between their children.
+
+    ``slots`` lists each node's slots in slot order, node after node. The
+    nodes go in consecutive chunks whose padded arrays stay under _CHUNK
+    cells. Returns the level's record and the next level's slots and
+    node sizes.
+    """
+    per = max(1, _CHUNK // (g.mtry * int(sizes.max())))
+    if per >= sizes.size:
+        return _split_nodes(g, slots, sizes, tree_of, may_split)
+    ends, starts = np.cumsum(sizes), range(0, sizes.size, per)
+    parts = [_split_nodes(g, slots[ends[lo] - sizes[lo]:ends[min(lo + per, sizes.size) - 1]],
+                          sizes[lo:lo + per], tree_of[lo:lo + per], may_split)
+             for lo in starts]
+    level = SimpleNamespace(**{key: np.concatenate([vars(p[0])[key] for p in parts])
+                               for key in ("value", "feature", "threshold")})
+    level.split = np.concatenate([p[0].split + lo for p, lo in zip(parts, starts)])
+    return level, np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts])
+
+
+def _split_nodes(g, slots, sizes, tree_of, may_split):
+    """``_split_level`` on consecutive nodes, in arrays padded to the
+    largest node."""
+    pos = g.pos[:-(-int(sizes.max()) // 8) * 8]
+    inside = pos < sizes[:, None]
+    at = np.where(inside, (np.cumsum(sizes) - sizes)[:, None] + pos, -1)
+    node_slots = np.concatenate([slots, g.pad])[at]
+    yv = g.ys[node_slots]
+    level = SimpleNamespace(value=_node_sums(yv, sizes, pos) / sizes, split=slots[:0],
+                            feature=slots[:0], threshold=yv[:0, 0])
+    g.fitted[node_slots] = level.value[:, None]   # deeper levels overwrite
+    spread = np.where(inside, yv, yv[:, :1])
+    split = np.flatnonzero(spread.max(axis=1) > spread.min(axis=1)) if may_split else slots[:0]
+    if not split.size:
+        return level, slots[:0], sizes[:0]
+    ns = node_slots
+    if split.size < sizes.size:
+        sizes, ns, inside = sizes[split], ns[split], inside[split]
+    k, c, width = split.size, g.mtry, int(sizes.max())
+    ns, inside, rows = ns[:, :width], inside[:, :width], np.arange(k)
+    if g.draws and g.rngs:
+        per_tree = np.bincount(tree_of[split], minlength=g.n_trees)
+        u = np.concatenate([g.rngs[t].random((per_tree[t], g.draws))
+                            for t in np.flatnonzero(per_tree)])
+    if c < g.d:
+        feats = np.sort(np.argsort(u[:, :g.d], axis=1)[:, :c], axis=1)
+        f_off = (feats * g.n_pad)[:, :, None]
+    else:
+        f_off = g.all_feats
+
+    # each candidate's slots in rank order, ties in slot order, from one
+    # flat sort on (node and candidate, rank, position)
+    key = g.key[f_off + g.rows[ns][:, None, :]] + pos[:width]
+    key += (np.arange(k * c) * g.row_key).reshape(k, c, 1)
+    key.reshape(-1).sort()
+    s = ns.reshape(-1)[(key & (g.width - 1)) + (rows * width)[:, None, None]]
+    xs, ys = g.xt[f_off + g.rows[s]], g.ys[s]
+    xf = xs.reshape(-1)
+    cy = np.cumsum(ys, axis=2)
+    cy2 = np.cumsum(ys * ys, axis=2)
+    if g.random_thresholds:   # one cut per candidate: its left rows are a prefix
+        first = (rows[:, None] * c + np.arange(c)) * width
+        lo = xf[first]
+        cand = lo + (xf[first + sizes[:, None] - 1] - lo) * u[:, -c:]
+        nl = (xs <= cand[..., None]).sum(axis=2)
+        nr = sizes[:, None] - nl
+        sl, sl2 = cy.reshape(-1)[first + nl - 1], cy2.reshape(-1)[first + nl - 1]
+        tot, tot2 = cy[..., -1], cy2[..., -1]
+    else:                     # a cut after every row
+        sl, sl2 = cy[..., :-1], cy2[..., :-1]
+        tot, tot2 = cy[..., -1:], cy2[..., -1:]
+        nl = g.nl[:width - 1]
+        nr = sizes[:, None, None] - nl
+    sr, sr2 = tot - sl, tot2 - sl2
+    sse = (sl2 - sl * sl / nl) + (sr2 - sr * sr / np.maximum(nr, 1))   # nr < 1: masked below
+    if g.random_thresholds:
+        sse = np.where(nr > 0, sse, np.inf)
+        f_i = sse.argmin(axis=1)
+        ok = sse[rows, f_i] < np.inf
+        thr = cand[rows, f_i]
+    else:
+        sse = np.where(xs[..., 1:] > xs[..., :-1], sse, np.inf).reshape(k, -1)
+        j = sse.argmin(axis=1)
+        ok = sse[rows, j] < np.inf
+        f_i = j // (width - 1)
+        at = rows * (c * width) + j + f_i
+        thr = 0.5 * (xf[at] + xf[at + 1])
+    level.split, level.feature, level.threshold = split, f_i if c == g.d else feats[rows, f_i], thr
+    if not ok.all():
+        level.split, level.feature, level.threshold = split[ok], level.feature[ok], thr[ok]
+        ns, inside, sizes, rows = ns[ok], inside[ok], sizes[ok], rows[:ok.sum()]
+
+    # left child's slots, then the right child's; the pads go right, last
+    right = ~(g.xt[(level.feature * g.n_pad)[:, None] + g.rows[ns]] <= level.threshold[:, None])
+    parted = ns.reshape(-1)[np.argsort(right, axis=1, kind="stable") + (rows * width)[:, None]]
+    children = np.empty(2 * sizes.size, dtype=np.intp)
+    children[0::2] = width - right.sum(axis=1)
+    children[1::2] = sizes - children[0::2]
+    return level, parted[inside], children
 
 
 class DecisionTreeModel(FittedModel):
     kind = "decision_tree"
 
-    def __init__(self, spec, feature_mean, feature_scale, tree: Tree):
+    def __init__(self, spec, feature_mean, feature_scale, table: TreeTable):
         super().__init__(spec, feature_mean, feature_scale)
-        self.tree = tree
+        self.table = table
 
     def _predict_std(self, Xs):
-        return self.tree.predict(Xs)
+        return self.table.predict(Xs)[0]
 
     def _state_dict(self):
-        return {"tree": self.tree.to_dict()}
+        return {"tree": self.table.to_dicts()[0]}
 
     @classmethod
     def _from_state(cls, spec, feature_mean, feature_scale, state):
-        return cls(spec, feature_mean, feature_scale, Tree.from_dict(state["tree"]))
+        return cls(spec, feature_mean, feature_scale, TreeTable.from_dicts([state["tree"]]))
 
 
 class ForestModel(FittedModel):
@@ -178,22 +330,20 @@ class ForestModel(FittedModel):
 
     kind = "forest"
 
-    def __init__(self, spec, feature_mean, feature_scale, trees: list[Tree]):
+    def __init__(self, spec, feature_mean, feature_scale, table: TreeTable):
         super().__init__(spec, feature_mean, feature_scale)
-        self.trees = trees
+        self.table = table
 
     def _predict_std(self, Xs):
-        acc = np.zeros(Xs.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(Xs)
-        return acc / len(self.trees)
+        # cumsum keeps the tree-by-tree summation order
+        return np.cumsum(self.table.predict(Xs), axis=0)[-1] / self.table.roots.size
 
     def _state_dict(self):
-        return {"trees": [t.to_dict() for t in self.trees]}
+        return {"trees": self.table.to_dicts()}
 
     @classmethod
     def _from_state(cls, spec, feature_mean, feature_scale, state):
-        return cls(spec, feature_mean, feature_scale, [Tree.from_dict(t) for t in state["trees"]])
+        return cls(spec, feature_mean, feature_scale, TreeTable.from_dicts(state["trees"]))
 
 
 class AdaBoostModel(FittedModel):
@@ -201,28 +351,26 @@ class AdaBoostModel(FittedModel):
 
     kind = "adaboost"
 
-    def __init__(self, spec, feature_mean, feature_scale, trees: list[Tree], betas: np.ndarray):
+    def __init__(self, spec, feature_mean, feature_scale, table: TreeTable, betas):
         super().__init__(spec, feature_mean, feature_scale)
-        self.trees = trees
+        self.table = table
         self.betas = np.asarray(betas, dtype=np.float64)
 
     def _predict_std(self, Xs):
-        preds = np.stack([t.predict(Xs) for t in self.trees])  # (T, m)
+        preds = self.table.predict(Xs)  # (T, m)
         alpha = np.log(1.0 / self.betas)
-        half = 0.5 * alpha.sum()
-        out = np.empty(Xs.shape[0])
-        for i in range(Xs.shape[0]):
-            order = np.argsort(preds[:, i], kind="stable")
-            cdf = np.cumsum(alpha[order])
-            out[i] = preds[order[int(np.argmax(cdf >= half))], i]
-        return out
+        order = np.argsort(preds, axis=0, kind="stable")
+        cdf = np.cumsum(alpha[order], axis=0)
+        first = np.argmax(cdf >= 0.5 * alpha.sum(), axis=0)
+        cols = np.arange(Xs.shape[0])
+        return preds[order[first, cols], cols]
 
     def _state_dict(self):
-        return {"trees": [t.to_dict() for t in self.trees], "betas": self.betas.tolist()}
+        return {"trees": self.table.to_dicts(), "betas": self.betas.tolist()}
 
     @classmethod
     def _from_state(cls, spec, feature_mean, feature_scale, state):
-        return cls(spec, feature_mean, feature_scale, [Tree.from_dict(t) for t in state["trees"]],
+        return cls(spec, feature_mean, feature_scale, TreeTable.from_dicts(state["trees"]),
                    state["betas"])
 
 
@@ -231,56 +379,58 @@ class GradientBoostingModel(FittedModel):
 
     kind = "gradient_boosting"
 
-    def __init__(self, spec, feature_mean, feature_scale, init: float, learning_rate: float, trees: list[Tree]):
+    def __init__(self, spec, feature_mean, feature_scale, init: float, learning_rate: float,
+                 table: TreeTable):
         super().__init__(spec, feature_mean, feature_scale)
         self.init = float(init)
         self.learning_rate = float(learning_rate)
-        self.trees = trees
+        self.table = table
 
     def _predict_std(self, Xs):
-        out = np.full(Xs.shape[0], self.init)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(Xs)
-        return out
+        steps = self.learning_rate * self.table.predict(Xs)
+        # cumsum keeps the round-by-round summation order
+        return np.cumsum(np.vstack([np.full((1, Xs.shape[0]), self.init), steps]), axis=0)[-1]
 
     def _state_dict(self):
         return {"init": self.init, "learning_rate": self.learning_rate,
-                "trees": [t.to_dict() for t in self.trees]}
+                "trees": self.table.to_dicts()}
 
     @classmethod
     def _from_state(cls, spec, feature_mean, feature_scale, state):
         return cls(spec, feature_mean, feature_scale, state["init"], state["learning_rate"],
-                   [Tree.from_dict(t) for t in state["trees"]])
+                   TreeTable.from_dicts(state["trees"]))
 
 
 def fit_decision_tree(spec: ModelSpec, Xs, y, mean, scale, *, max_depth) -> DecisionTreeModel:
-    tree = grow_tree(Xs, y, np.arange(len(y)), max_depth=max_depth)
-    return DecisionTreeModel(spec, mean, scale, tree)
+    tree, _ = grow_trees(rank_columns(Xs), y, np.arange(len(y))[None], max_depth=max_depth)
+    return DecisionTreeModel(spec, mean, scale, tree.depth_first())
 
 
 def fit_forest(spec: ModelSpec, Xs, y, mean, scale, *, n_trees, max_depth,
                bootstrap: bool, random_thresholds: bool) -> ForestModel:
     n, d = Xs.shape
-    mtry = max(1, int(np.sqrt(d)))
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([spec.seed, t])
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(grow_tree(Xs, y, idx, max_depth=max_depth, mtry=mtry,
-                               random_thresholds=random_thresholds, rng=rng))
-    return ForestModel(spec, mean, scale, trees)
+    rngs = [np.random.default_rng([spec.seed, t]) for t in range(n_trees)]
+    if bootstrap:
+        idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    else:
+        idx = np.broadcast_to(np.arange(n), (n_trees, n))
+    trees, _ = grow_trees(rank_columns(Xs), y, idx, max_depth=max_depth,
+                          mtry=max(1, int(np.sqrt(d))), random_thresholds=random_thresholds,
+                          rngs=rngs)
+    return ForestModel(spec, mean, scale, trees.depth_first())
 
 
 def fit_adaboost(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds, max_depth) -> AdaBoostModel:
     n = len(y)
     rng = np.random.default_rng(spec.seed)
+    cols = rank_columns(Xs)
     weights = np.full(n, 1.0 / n)
-    trees: list[Tree] = []
+    trees: list[TreeTable] = []
     betas: list[float] = []
     for _ in range(n_rounds):
         idx = rng.choice(n, size=n, replace=True, p=weights)
-        tree = grow_tree(Xs, y, idx, max_depth=max_depth)
-        err = np.abs(tree.predict(Xs) - y)
+        tree, _ = grow_trees(cols, y, idx[None], max_depth=max_depth)
+        err = np.abs(tree.predict(Xs)[0] - y)
         emax = float(err.max())
         if emax <= 0.0:
             # Perfect round dominates the median; nothing left to reweight.
@@ -299,18 +449,19 @@ def fit_adaboost(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds, max_depth) ->
         betas.append(beta)
         weights = weights * beta ** (1.0 - loss)
         weights = weights / weights.sum()
-    return AdaBoostModel(spec, mean, scale, trees, np.array(betas))
+    return AdaBoostModel(spec, mean, scale, TreeTable.stack(trees).depth_first(), betas)
 
 
 def fit_gradient_boosting(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds,
                           max_depth, learning_rate) -> GradientBoostingModel:
     init = float(y.mean())
     current = np.full(len(y), init)
-    trees: list[Tree] = []
-    all_rows = np.arange(len(y))
+    cols, all_rows = rank_columns(Xs), np.arange(len(y))[None]
+    trees: list[TreeTable] = []
     for _ in range(n_rounds):
-        resid = y - current
-        tree = grow_tree(Xs, resid, all_rows, max_depth=max_depth)
-        current = current + learning_rate * tree.predict(Xs)
+        # a tree's leaf values on its training rows are its predictions
+        tree, fitted = grow_trees(cols, y - current, all_rows, max_depth=max_depth)
+        current = current + learning_rate * fitted[0]
         trees.append(tree)
-    return GradientBoostingModel(spec, mean, scale, init, learning_rate, trees)
+    return GradientBoostingModel(spec, mean, scale, init, learning_rate,
+                                 TreeTable.stack(trees).depth_first())

@@ -134,10 +134,10 @@ def test_audit_reports_zero_violations_on_20_samples():
     assert result.audit.ok
     # every outer fold records: 3 folds x 3 specs oof fits + combiner + 3 refits
     assert result.audit.n_fits == 4 * (3 * 3 + 1 + 3)
-    # the audit covers the stack's own fits: only the top-2 refits count
+    # the audit covers every fit the pass makes: all 3 refits, whatever m_top
     top2 = cross_validate(X, y, specs, m_top=2, k=4, inner_k=3, seed=3, audit=True)
     assert top2.audit.ok
-    assert top2.audit.n_fits == 4 * (3 * 3 + 1 + 2)
+    assert top2.audit.n_fits == 4 * (3 * 3 + 1 + 3)
 
 
 def test_cross_validate_jobs_parallel_matches_serial():
