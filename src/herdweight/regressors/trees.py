@@ -26,11 +26,11 @@ depend neither on ``max_depth`` nor on the other trees.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from .base import FittedModel, ModelSpec
+
+_CHUNK = 1 << 18   # cells per chunk of nodes or of rows: bounds the working memory
 
 
 class TreeTable:
@@ -49,8 +49,17 @@ class TreeTable:
         self.value = np.asarray(value, dtype=np.float64)
         self.roots = np.asarray(roots, dtype=np.intp)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf values of every tree, shape (n_trees, len(X))."""
+    def predict(self, X: np.ndarray, combine=lambda leaves: leaves) -> np.ndarray:
+        """``combine`` of every tree's leaf values, an (n_trees, rows)
+        array, for blocks of X's rows, joined along the last axis. A block
+        holds at most _CHUNK (tree, row) pairs, which bounds the memory."""
+        step = max(1, _CHUNK // max(1, self.roots.size))
+        # at least one block, so an empty X gives an empty result; each result is
+        # copied, since a combined block may be a view that keeps its leaves alive
+        return np.concatenate([combine(self._leaves(X[lo:lo + step])).copy()
+                               for lo in range(0, max(len(X), 1), step)], axis=-1)
+
+    def _leaves(self, X):
         m = X.shape[0]
         node = np.repeat(self.roots, m)
         row = np.arange(node.size) % m
@@ -145,33 +154,107 @@ def grow_trees(cols, y, idx, *, max_depth=None, mtry=None, random_thresholds=Fal
     # compares false with every threshold and so goes right. The columns
     # are flat: feature f of row r is entry f * n_pad + r.
     rows = np.append(idx.reshape(-1), n_pad - 1)
+    pad, all_feats = np.array([rows.size - 1]), np.arange(d)[None]
     c = d if mtry is None or mtry >= d else mtry
-    width = 1 << m.bit_length()   # a sort key holds a position below this
-    g = SimpleNamespace(
-        d=d, mtry=c, n_pad=n_pad, n_trees=n_trees, pad=np.array([rows.size - 1]), width=width,
-        row_key=n_pad * width, rngs=rngs, random_thresholds=random_thresholds,
-        draws=(d if c < d else 0) + (c if random_thresholds else 0),
-        rows=rows, xt=xt.reshape(-1), key=ranks.reshape(-1) * width,
-        ys=np.append(y[rows[:-1]], 0.0), fitted=np.empty(rows.size), pos=np.arange(m + 8),
-        nl=np.arange(1, m + 8, dtype=np.float64), all_feats=np.arange(d)[:, None] * n_pad)
+    draws = (d if c < d else 0) + (c if random_thresholds else 0)
+    bits = 1 << m.bit_length()   # a sort key holds a position below this
+    xt, key = xt.reshape(-1), ranks.reshape(-1) * bits
+    ys, fitted = np.append(y[rows[:-1]], 0.0), np.empty(rows.size)
+
+    def split_nodes(first, slots, sizes, tree_of, may_split):
+        """Consecutive nodes of one level, from its node ``first`` on, in
+        arrays padded to the largest: their means, their best splits, and
+        the split nodes' slots partitioned between their children."""
+        pos = np.arange(-(-int(sizes.max()) // 8) * 8)
+        inside = pos < sizes[:, None]
+        node_slots = np.concatenate((slots, pad))[
+            np.where(inside, (np.cumsum(sizes) - sizes)[:, None] + pos, -1)]
+        yv = ys[node_slots]
+        value = _node_sums(yv, sizes, pos) / sizes
+        fitted[node_slots] = value[:, None]   # deeper levels overwrite
+        spread = np.where(inside, yv, yv[:, :1])
+        split = np.flatnonzero(spread.max(axis=1) > spread.min(axis=1)) if may_split else pos[:0]
+        if not split.size:
+            return value, split, split, value[:0], split, split
+        sizes, k = sizes[split], split.size
+        width = int(sizes.max())
+        ns, inside = node_slots[split, :width], inside[split, :width]
+        if draws:
+            per_tree = np.bincount(tree_of[split], minlength=n_trees)
+            u = np.concatenate([rngs[t].random((per_tree[t], draws))
+                                for t in np.flatnonzero(per_tree)])
+        feats = (np.sort(np.argsort(u[:, :d], axis=1)[:, :c], axis=1) if c < d
+                 else all_feats.repeat(k, axis=0))
+        f_off = (feats * n_pad)[:, :, None]
+
+        # each candidate's slots in rank order, ties in slot order, from one
+        # flat sort on (node and candidate, rank, position)
+        order = key[f_off + rows[ns][:, None, :]] + pos[:width]
+        order += (np.arange(k * c) * (n_pad * bits)).reshape(k, c, 1)
+        order.reshape(-1).sort()
+        s = ns.reshape(-1)[(order & (bits - 1)) + (np.arange(k) * width)[:, None, None]]
+        xs, ysort = xt[f_off + rows[s]], ys[s]
+        xf = xs.reshape(-1)
+        cy = np.cumsum(ysort, axis=2)
+        cy2 = np.cumsum(ysort * ysort, axis=2)
+        if random_thresholds:   # one cut per candidate: its left rows are a prefix
+            head = (np.arange(k)[:, None] * c + np.arange(c)) * width
+            lo = xf[head]
+            cand = lo + (xf[head + sizes[:, None] - 1] - lo) * u[:, -c:]
+            nl = (xs <= cand[..., None]).sum(axis=2)
+            nr = sizes[:, None] - nl
+            sl, sl2 = cy.reshape(-1)[head + nl - 1], cy2.reshape(-1)[head + nl - 1]
+            tot, tot2 = cy[..., -1], cy2[..., -1]
+        else:                   # a cut after every row
+            sl, sl2 = cy[..., :-1], cy2[..., :-1]
+            tot, tot2 = cy[..., -1:], cy2[..., -1:]
+            nl = np.arange(1, width, dtype=np.float64)
+            nr = sizes[:, None, None] - nl
+        sr, sr2 = tot - sl, tot2 - sl2
+        sse = (sl2 - sl * sl / nl) + (sr2 - sr * sr / np.maximum(nr, 1))   # nr < 1: masked below
+        if random_thresholds:
+            sse = np.where(nr > 0, sse, np.inf)
+            f_i = sse.argmin(axis=1)
+            thr = cand[np.arange(k), f_i]
+        else:
+            sse = np.where(xs[..., 1:] > xs[..., :-1], sse, np.inf).reshape(k, -1)
+            j = sse.argmin(axis=1)
+            f_i = j // (width - 1)
+            at = np.arange(k) * (c * width) + j + f_i
+            thr = 0.5 * (xf[at] + xf[at + 1])
+        ok = sse.reshape(k, -1).min(axis=1) < np.inf
+        split, feature, thr = split[ok], feats[np.arange(k), f_i][ok], thr[ok]
+        ns, inside, sizes, k = ns[ok], inside[ok], sizes[ok], int(ok.sum())
+
+        # left child's slots, then the right child's; the pads go right, last
+        right = ~(xt[(feature * n_pad)[:, None] + rows[ns]] <= thr[:, None])
+        parted = ns.reshape(-1)[np.argsort(right, axis=1, kind="stable")
+                                + (np.arange(k) * width)[:, None]]
+        children = np.empty(2 * k, dtype=np.intp)
+        children[0::2] = width - right.sum(axis=1)
+        children[1::2] = sizes - children[0::2]
+        return value, first + split, feature, thr, parted[inside], children
+
     slots, sizes, tree_of = np.arange(rows.size - 1), np.full(n_trees, m), np.arange(n_trees)
-    levels = []
+    levels, done = [], 0   # per level: node values, split nodes, their features and thresholds
     while sizes.size:
         may_split = max_depth is None or len(levels) < max_depth
-        level, slots, sizes = _split_level(g, slots, sizes, tree_of, may_split)
-        levels.append(level)
-        tree_of = np.repeat(tree_of[level.split], 2)
+        # nodes go in chunks whose padded arrays stay under _CHUNK cells
+        per, ends = max(1, _CHUNK // (c * int(sizes.max()))), np.cumsum(sizes)
+        parts = [split_nodes(lo, slots[ends[lo] - sizes[lo]:ends[min(lo + per, sizes.size) - 1]],
+                             sizes[lo:lo + per], tree_of[lo:lo + per], may_split)
+                 for lo in range(0, sizes.size, per)]
+        value, split, feature, threshold, slots, next_sizes = map(np.concatenate, zip(*parts))
+        levels.append((value, done + split, feature, threshold))
+        tree_of, done, sizes = np.repeat(tree_of[split], 2), done + sizes.size, next_sizes
     # level by level, the i-th split node's children are nodes n_trees + 2i, n_trees + 2i + 1
-    value = np.concatenate([lv.value for lv in levels])
-    here = np.cumsum([0] + [lv.value.size for lv in levels[:-1]])
-    split = np.concatenate([at + lv.split for at, lv in zip(here, levels)])
+    value, split, split_feature, split_threshold = map(np.concatenate, zip(*levels))
     feature, left, threshold = np.full(value.size, -1), np.full(value.size, -1), np.zeros(value.size)
-    feature[split] = np.concatenate([lv.feature for lv in levels])
-    threshold[split] = np.concatenate([lv.threshold for lv in levels])
+    feature[split], threshold[split] = split_feature, split_threshold
     left[split] = np.arange(n_trees, n_trees + 2 * split.size, 2)
     trees = TreeTable(feature, threshold, left, np.where(left >= 0, left + 1, -1), value,
                       np.arange(n_trees))
-    return trees, g.fitted[:-1].reshape(n_trees, m)
+    return trees, fitted[:-1].reshape(n_trees, m)
 
 
 def _node_sums(yv, sizes, pos):
@@ -181,125 +264,16 @@ def _node_sums(yv, sizes, pos):
     pairwise and then adds the last ``size % 8`` numbers in order; longer
     rows are summed one by one.
     """
-    k = yv.shape[0]
-    if k <= 8:  # a few nodes: cheaper one by one
-        return np.array([np.add.reduce(row[:s]) for row, s in zip(yv, sizes.tolist())])
     lane = pos < (sizes & -8)[:, None]
-    r = np.cumsum(np.where(lane, yv, 0.0).reshape(k, -1, 8), axis=1)[:, -1]
+    r = np.where(lane, yv, 0.0).reshape(yv.shape[0], -1, 8).cumsum(axis=1)[:, -1]
     r = r[:, 0::2] + r[:, 1::2]
     r = r[:, 0::2] + r[:, 1::2]
     tail = np.where(lane, 0.0, yv)
     tail[:, 0] += r[:, 0] + r[:, 1]   # no lanes: adds 0.0 to the first number
-    out = np.cumsum(tail, axis=1)[:, -1]
-    for i in np.flatnonzero(sizes > 128):
+    out = tail.cumsum(axis=1)[:, -1]
+    for i in (sizes > 128).nonzero()[0]:
         out[i] = np.add.reduce(yv[i, :sizes[i]])
     return out
-
-
-_CHUNK = 1 << 18   # padded cells per chunk of nodes: bounds a level's working memory
-
-
-def _split_level(g, slots, sizes, tree_of, may_split):
-    """One depth level of every tree: node means, each open node's best
-    split, and the split nodes' slots partitioned between their children.
-
-    ``slots`` lists each node's slots in slot order, node after node. The
-    nodes go in consecutive chunks whose padded arrays stay under _CHUNK
-    cells. Returns the level's record and the next level's slots and
-    node sizes.
-    """
-    per = max(1, _CHUNK // (g.mtry * int(sizes.max())))
-    if per >= sizes.size:
-        return _split_nodes(g, slots, sizes, tree_of, may_split)
-    ends, starts = np.cumsum(sizes), range(0, sizes.size, per)
-    parts = [_split_nodes(g, slots[ends[lo] - sizes[lo]:ends[min(lo + per, sizes.size) - 1]],
-                          sizes[lo:lo + per], tree_of[lo:lo + per], may_split)
-             for lo in starts]
-    level = SimpleNamespace(**{key: np.concatenate([vars(p[0])[key] for p in parts])
-                               for key in ("value", "feature", "threshold")})
-    level.split = np.concatenate([p[0].split + lo for p, lo in zip(parts, starts)])
-    return level, np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts])
-
-
-def _split_nodes(g, slots, sizes, tree_of, may_split):
-    """``_split_level`` on consecutive nodes, in arrays padded to the
-    largest node."""
-    pos = g.pos[:-(-int(sizes.max()) // 8) * 8]
-    inside = pos < sizes[:, None]
-    at = np.where(inside, (np.cumsum(sizes) - sizes)[:, None] + pos, -1)
-    node_slots = np.concatenate([slots, g.pad])[at]
-    yv = g.ys[node_slots]
-    level = SimpleNamespace(value=_node_sums(yv, sizes, pos) / sizes, split=slots[:0],
-                            feature=slots[:0], threshold=yv[:0, 0])
-    g.fitted[node_slots] = level.value[:, None]   # deeper levels overwrite
-    spread = np.where(inside, yv, yv[:, :1])
-    split = np.flatnonzero(spread.max(axis=1) > spread.min(axis=1)) if may_split else slots[:0]
-    if not split.size:
-        return level, slots[:0], sizes[:0]
-    ns = node_slots
-    if split.size < sizes.size:
-        sizes, ns, inside = sizes[split], ns[split], inside[split]
-    k, c, width = split.size, g.mtry, int(sizes.max())
-    ns, inside, rows = ns[:, :width], inside[:, :width], np.arange(k)
-    if g.draws and g.rngs:
-        per_tree = np.bincount(tree_of[split], minlength=g.n_trees)
-        u = np.concatenate([g.rngs[t].random((per_tree[t], g.draws))
-                            for t in np.flatnonzero(per_tree)])
-    if c < g.d:
-        feats = np.sort(np.argsort(u[:, :g.d], axis=1)[:, :c], axis=1)
-        f_off = (feats * g.n_pad)[:, :, None]
-    else:
-        f_off = g.all_feats
-
-    # each candidate's slots in rank order, ties in slot order, from one
-    # flat sort on (node and candidate, rank, position)
-    key = g.key[f_off + g.rows[ns][:, None, :]] + pos[:width]
-    key += (np.arange(k * c) * g.row_key).reshape(k, c, 1)
-    key.reshape(-1).sort()
-    s = ns.reshape(-1)[(key & (g.width - 1)) + (rows * width)[:, None, None]]
-    xs, ys = g.xt[f_off + g.rows[s]], g.ys[s]
-    xf = xs.reshape(-1)
-    cy = np.cumsum(ys, axis=2)
-    cy2 = np.cumsum(ys * ys, axis=2)
-    if g.random_thresholds:   # one cut per candidate: its left rows are a prefix
-        first = (rows[:, None] * c + np.arange(c)) * width
-        lo = xf[first]
-        cand = lo + (xf[first + sizes[:, None] - 1] - lo) * u[:, -c:]
-        nl = (xs <= cand[..., None]).sum(axis=2)
-        nr = sizes[:, None] - nl
-        sl, sl2 = cy.reshape(-1)[first + nl - 1], cy2.reshape(-1)[first + nl - 1]
-        tot, tot2 = cy[..., -1], cy2[..., -1]
-    else:                     # a cut after every row
-        sl, sl2 = cy[..., :-1], cy2[..., :-1]
-        tot, tot2 = cy[..., -1:], cy2[..., -1:]
-        nl = g.nl[:width - 1]
-        nr = sizes[:, None, None] - nl
-    sr, sr2 = tot - sl, tot2 - sl2
-    sse = (sl2 - sl * sl / nl) + (sr2 - sr * sr / np.maximum(nr, 1))   # nr < 1: masked below
-    if g.random_thresholds:
-        sse = np.where(nr > 0, sse, np.inf)
-        f_i = sse.argmin(axis=1)
-        ok = sse[rows, f_i] < np.inf
-        thr = cand[rows, f_i]
-    else:
-        sse = np.where(xs[..., 1:] > xs[..., :-1], sse, np.inf).reshape(k, -1)
-        j = sse.argmin(axis=1)
-        ok = sse[rows, j] < np.inf
-        f_i = j // (width - 1)
-        at = rows * (c * width) + j + f_i
-        thr = 0.5 * (xf[at] + xf[at + 1])
-    level.split, level.feature, level.threshold = split, f_i if c == g.d else feats[rows, f_i], thr
-    if not ok.all():
-        level.split, level.feature, level.threshold = split[ok], level.feature[ok], thr[ok]
-        ns, inside, sizes, rows = ns[ok], inside[ok], sizes[ok], rows[:ok.sum()]
-
-    # left child's slots, then the right child's; the pads go right, last
-    right = ~(g.xt[(level.feature * g.n_pad)[:, None] + g.rows[ns]] <= level.threshold[:, None])
-    parted = ns.reshape(-1)[np.argsort(right, axis=1, kind="stable") + (rows * width)[:, None]]
-    children = np.empty(2 * sizes.size, dtype=np.intp)
-    children[0::2] = width - right.sum(axis=1)
-    children[1::2] = sizes - children[0::2]
-    return level, parted[inside], children
 
 
 class DecisionTreeModel(FittedModel):
@@ -336,7 +310,7 @@ class ForestModel(FittedModel):
 
     def _predict_std(self, Xs):
         # cumsum keeps the tree-by-tree summation order
-        return np.cumsum(self.table.predict(Xs), axis=0)[-1] / self.table.roots.size
+        return self.table.predict(Xs, lambda p: np.cumsum(p, axis=0)[-1]) / self.table.roots.size
 
     def _state_dict(self):
         return {"trees": self.table.to_dicts()}
@@ -357,12 +331,14 @@ class AdaBoostModel(FittedModel):
         self.betas = np.asarray(betas, dtype=np.float64)
 
     def _predict_std(self, Xs):
-        preds = self.table.predict(Xs)  # (T, m)
+        return self.table.predict(Xs, self._weighted_median)
+
+    def _weighted_median(self, preds):
         alpha = np.log(1.0 / self.betas)
         order = np.argsort(preds, axis=0, kind="stable")
         cdf = np.cumsum(alpha[order], axis=0)
         first = np.argmax(cdf >= 0.5 * alpha.sum(), axis=0)
-        cols = np.arange(Xs.shape[0])
+        cols = np.arange(preds.shape[1])
         return preds[order[first, cols], cols]
 
     def _state_dict(self):
@@ -387,9 +363,9 @@ class GradientBoostingModel(FittedModel):
         self.table = table
 
     def _predict_std(self, Xs):
-        steps = self.learning_rate * self.table.predict(Xs)
         # cumsum keeps the round-by-round summation order
-        return np.cumsum(np.vstack([np.full((1, Xs.shape[0]), self.init), steps]), axis=0)[-1]
+        return self.table.predict(Xs, lambda p: np.cumsum(
+            np.vstack([np.full((1, p.shape[1]), self.init), self.learning_rate * p]), axis=0)[-1])
 
     def _state_dict(self):
         return {"init": self.init, "learning_rate": self.learning_rate,

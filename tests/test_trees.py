@@ -153,7 +153,7 @@ def test_fits_match_depth_first_oracle_byte_for_byte(family):
 
 def test_node_sums_equal_numpy_reduce():
     rng = np.random.default_rng(0)
-    for k, top in ((3, 300), (40, 300), (40, 8)):   # node by node; all at once; all short
+    for k, top in ((3, 300), (40, 300), (40, 8)):   # few nodes; many; all short
         sizes = rng.integers(1, top, size=k)
         sizes[:2] = [min(8, top - 1), min(128, top - 1)]
         width = -(-int(sizes.max()) // 8) * 8
@@ -308,14 +308,15 @@ def test_forest_prefix_and_depth_cap_are_the_same_trees(family):
 
 
 def test_forest_grows_every_tree_in_one_pass_per_level(monkeypatch):
-    calls = []
-    split_level = trees._split_level
+    calls = []   # nodes in each pass: unchunked, a level's nodes go through _node_sums together
+    node_sums = trees._node_sums
+    monkeypatch.setattr(trees, "_CHUNK", 1 << 40)
 
-    def counted(*args):
-        calls.append(args[2].size)
-        return split_level(*args)
+    def counted(yv, sizes, pos):
+        calls.append(sizes.size)
+        return node_sums(yv, sizes, pos)
 
-    monkeypatch.setattr(trees, "_split_level", counted)
+    monkeypatch.setattr(trees, "_node_sums", counted)
     X, y = _dataset(9)
     forest = _forest_trees("random_forest", X, y, 1, n_trees=300)
 
@@ -336,3 +337,23 @@ def test_levels_split_into_chunks_grow_the_same_trees(family, monkeypatch):
     whole = json.dumps(fit(spec, X, y).to_dict())
     monkeypatch.setattr(trees, "_CHUNK", 1)   # one node per chunk
     assert json.dumps(fit(spec, X, y).to_dict()) == whole
+
+
+@pytest.mark.parametrize("family, params", [("random_forest", {"n_trees": 100}),
+                                            ("adaboost", {"n_rounds": 100, "max_depth": 6}),
+                                            ("gradient_boosting", {"n_rounds": 100})])
+def test_many_tree_predict_memory_is_bounded(family, params, monkeypatch):
+    import tracemalloc
+
+    X, y = _dataset(13)
+    model = fit(ModelSpec(name=family, family=family, params=params, seed=4), X, y)
+    rows = np.random.default_rng(0).normal(size=(10_000, X.shape[1]))
+    expected = np.concatenate([model.predict(rows[lo:lo + 999]) for lo in range(0, len(rows), 999)])
+    monkeypatch.setattr(trees, "_CHUNK", 1 << 14)
+    tracemalloc.start()
+    got = model.predict(rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    np.testing.assert_array_equal(got, expected)
+    # a block of 2^14 (tree, row) pairs takes about 1.4 MB; all 10^6 pairs at once took 57 MB
+    assert peak < 4e6, (model.table.roots.size, peak)
