@@ -194,7 +194,7 @@ def build_config(raw: dict) -> PipelineConfig:
         raise ConfigError(f"fusion: {exc}") from exc
 
     steps = sim_raw.get("steps", 60)
-    if not isinstance(steps, int) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ConfigError(f"simulation.steps must be an integer >= 1, got {steps!r}")
     schedule = _build_schedule(sim_raw.get("schedule", {}), steps)
     try:

@@ -15,12 +15,13 @@ as a CSV trace.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSchedule, IoError
+from .errors import InvalidSchedule, IoError, NonFiniteInput
 from .files import open_fresh
 
 CENTER_METHODS = ("mean", "median")
@@ -90,14 +91,34 @@ def deviations(updates: ViewUpdateSet, consensus: np.ndarray, epsilon: float) ->
     """Per-view, per-location RMS distance from the consensus.
 
     Channel-count normalised (an RMS, not an L2 norm) and floored at
-    sqrt(epsilon) so downstream scores stay finite.
+    sqrt(epsilon) so downstream scores stay finite. Works one view at a
+    time, so its temporaries are (L, D), not (V, L, D). The result keeps
+    the memory layout of the updates, which fixes the summation order of
+    the fused update downstream.
     """
-    diff = updates.updates - consensus[None, :, :]
-    return np.sqrt((diff * diff).mean(axis=2) + epsilon)
+    mean_sq = np.empty_like(updates.updates[:, :, 0])
+    for v, view in enumerate(updates.updates):
+        diff = view - consensus
+        diff *= diff
+        mean_sq[v] = diff.mean(axis=1)
+    return np.sqrt(mean_sq + epsilon)
 
 
-def _weighted_sum(weights: np.ndarray, updates: np.ndarray) -> np.ndarray:
-    return np.einsum("vl,vld->ld", weights, updates)
+def _fuse(updates: ViewUpdateSet, params: FusionParams, weigh) -> FusionResult:
+    """Centre, deviations and agreement logits -beta * deviation, then the
+    fused update under the (V, L) weights that ``weigh`` makes of the logits."""
+    center = consensus_center(updates, params.center)
+    dev = deviations(updates, center, params.epsilon)
+    logits = -params.beta * dev
+    weights = weigh(logits)
+    fused = np.einsum("vl,vld->ld", weights, updates.updates)
+    return FusionResult(fused=fused, weights=weights, agreement=np.exp(logits),
+                        deviations=dev, consensus=center)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = np.exp(logits - logits.max(axis=0, keepdims=True))
+    return shifted / shifted.sum(axis=0, keepdims=True)
 
 
 def agreement_fuse(updates: ViewUpdateSet, params: FusionParams) -> FusionResult:
@@ -107,15 +128,7 @@ def agreement_fuse(updates: ViewUpdateSet, params: FusionParams) -> FusionResult
     exponentiation (shift-invariant, numerically safe); the reported
     agreement scores are the unshifted exp(-beta * deviation).
     """
-    center = consensus_center(updates, params.center)
-    dev = deviations(updates, center, params.epsilon)
-    agreement = np.exp(-params.beta * dev)
-    logits = -params.beta * dev
-    shifted = np.exp(logits - logits.max(axis=0, keepdims=True))
-    weights = shifted / shifted.sum(axis=0, keepdims=True)
-    fused = _weighted_sum(weights, updates.updates)
-    return FusionResult(fused=fused, weights=weights, agreement=agreement,
-                        deviations=dev, consensus=center)
+    return _fuse(updates, params, _softmax)
 
 
 def average_fuse(updates: ViewUpdateSet, params: FusionParams | None = None) -> FusionResult:
@@ -125,16 +138,8 @@ def average_fuse(updates: ViewUpdateSet, params: FusionParams | None = None) -> 
     deviation/agreement diagnostics are computed with the given params
     (defaults if omitted).
     """
-    if params is None:
-        params = FusionParams()
-    center = consensus_center(updates, params.center)
-    dev = deviations(updates, center, params.epsilon)
-    agreement = np.exp(-params.beta * dev)
-    v, ell = dev.shape
-    weights = np.full((v, ell), 1.0 / v)
-    fused = _weighted_sum(weights, updates.updates)
-    return FusionResult(fused=fused, weights=weights, agreement=agreement,
-                        deviations=dev, consensus=center)
+    return _fuse(updates, params or FusionParams(),
+                 lambda logits: np.full(logits.shape, 1.0 / len(logits)))
 
 
 def geometric_schedule(sigma0: float, decay: float, steps: int) -> np.ndarray:
@@ -183,8 +188,17 @@ class SimulationConfig:
     target_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.views, self.locations, self.channels) < 1 or self.steps < 1:
+        for name in ("views", "locations", "channels", "steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if min(self.views, self.locations, self.channels, self.steps) < 1:
             raise ValueError("views, locations, channels and steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        scale = self.target_scale
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not np.isfinite(scale):
+            raise ValueError(f"target_scale must be a finite number, got {scale!r}")
         sched = self.schedule
         if sched is None:
             sched = geometric_schedule(1.0, 0.88, self.steps)
@@ -195,6 +209,8 @@ class SimulationConfig:
             bias = np.asarray(self.view_bias, dtype=np.float64)
             if bias.shape != (self.views,):
                 raise ValueError(f"view_bias must have one entry per view, got shape {bias.shape}")
+            if not np.isfinite(bias).all():
+                raise ValueError("view_bias must be finite")
             object.__setattr__(self, "view_bias", bias)
         if self.target is not None:
             tgt = np.asarray(self.target, dtype=np.float64)
@@ -205,10 +221,9 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class TrajectoryTrace:
-    """Per-step fusion results and per-view mean curves."""
+    """Per-step, per-view mean curves and the final state."""
 
     config: SimulationConfig
-    results: tuple[FusionResult, ...]
     mean_agreement: np.ndarray  # (T, V)
     mean_weight: np.ndarray     # (T, V)
     final_state: np.ndarray     # (L, D)
@@ -237,28 +252,42 @@ class TrajectoryTrace:
 
 
 def simulate_trajectory(config: SimulationConfig) -> TrajectoryTrace:
-    """Run the surrogate update process and fuse every step."""
+    """Run the surrogate update process and fuse every step.
+
+    Only the mean curves and the state outlive a step, so memory does not
+    grow with the step count. A step whose updates or state overflow to
+    NaN or Inf raises NonFiniteInput naming that step.
+    """
+    views, locations, channels = config.views, config.locations, config.channels
     rng = np.random.default_rng(config.seed)
-    target = config.target
-    if target is None:
-        target = config.target_scale * rng.normal(size=(config.locations, config.channels))
     bias = config.view_bias
     if bias is None:
-        bias = np.zeros(config.views)
-
-    state = np.zeros((config.locations, config.channels))
-    results = []
-    mean_agreement = np.empty((config.steps, config.views))
-    mean_weight = np.empty((config.steps, config.views))
-    for t in range(config.steps):
-        clean = config.contraction * (target - state)
-        noise = config.schedule[t] * rng.normal(size=(config.views, config.locations, config.channels))
-        updates = ViewUpdateSet(clean[None, :, :] + bias[:, None, None] + noise)
-        res = agreement_fuse(updates, config.params)
-        state = state + res.fused
-        results.append(res)
-        mean_agreement[t] = res.agreement.mean(axis=1)
-        mean_weight[t] = res.weights.mean(axis=1)
-    return TrajectoryTrace(config=config, results=tuple(results),
-                           mean_agreement=mean_agreement, mean_weight=mean_weight,
-                           final_state=state)
+        bias = np.zeros(views)
+    state = np.zeros((locations, channels))
+    mean_agreement = np.empty((config.steps, views))
+    mean_weight = np.empty((config.steps, views))
+    noise = np.empty((views, locations, channels))
+    # Overflow shows up as non-finite values, reported below with the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = config.target
+        if target is None:
+            target = config.target_scale * rng.normal(size=(locations, channels))
+        for t in range(config.steps):
+            clean = config.contraction * (target - state)
+            # (clean + bias) + schedule * noise, built in the noise buffer
+            rng.standard_normal(out=noise)
+            noise *= config.schedule[t]
+            for v in range(views):
+                noise[v] += clean + bias[v]
+            try:
+                updates = ViewUpdateSet(noise)
+            except ValueError as exc:
+                raise NonFiniteInput(f"simulation step {t}: {exc}") from None
+            res = agreement_fuse(updates, config.params)
+            state += res.fused
+            if not np.isfinite(state).all():
+                raise NonFiniteInput(f"simulation step {t}: state overflowed to NaN or Inf")
+            mean_agreement[t] = res.agreement.mean(axis=1)
+            mean_weight[t] = res.weights.mean(axis=1)
+    return TrajectoryTrace(config=config, mean_agreement=mean_agreement,
+                           mean_weight=mean_weight, final_state=state)

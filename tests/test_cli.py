@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, artefacts, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -407,6 +408,46 @@ def test_fuse_sim_determinism_and_bias(tmp_path):
     weights0 = [float(ln.split(",")[3]) for ln in (out1 / "trace.csv").read_text().splitlines()
                 if ln and not ln.startswith("#") and ln.split(",")[0].isdigit() and ln.split(",")[1] == "0"]
     assert weights0 and all(w < 1 / 3 for w in weights0)
+
+
+def test_fuse_sim_trace_digest(tmp_path):
+    """trace.csv of a small seeded run is byte-identical to the one written
+    before the simulator stopped keeping per-step results (numpy 2.4, x86-64
+    with AVX-512; numpy's SIMD exp may round differently elsewhere)."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "simulation": {"locations": 32, "channels": 8, "view_bias": [0.25, 0.0, 0.0, -0.1]},
+    }))
+    out = tmp_path / "sim"
+    assert main(["fuse-sim", "--config", str(cfg), "--out", str(out), "--views", "4",
+                 "--steps", "12", "--seed", "3", "--beta", "2.0"]) == 0
+    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+    assert digest == "0d153d13e2b6f7fcb4fc3f184def98b54c60b1ec581b89fd3866e5e2bde7bc82"
+
+
+@pytest.mark.parametrize("simulation, code", [
+    ({"views": 2.5}, 2),
+    ({"steps": True}, 2),
+    ({"seed": -1}, 2),
+    ({"seed": 1.5}, 2),
+    ({"target_scale": float("nan")}, 2),
+    ({"view_bias": [float("inf"), 0.0, 0.0]}, 2),
+    ({"target_scale": 1e308}, 1),
+    ({"view_bias": [1e308, 0.0, 0.0]}, 1),
+    ({"schedule": {"kind": "constant", "sigma0": 1e308}}, 1),
+], ids=["views-2.5", "steps-true", "seed-negative", "seed-1.5", "target_scale-nan",
+        "view_bias-inf", "target_scale-1e308", "view_bias-1e308", "sigma0-1e308"])
+def test_fuse_sim_hostile_config_exits_cleanly(tmp_path, capsys, simulation, code):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"simulation": {"locations": 4, "channels": 2, "steps": 3,
+                                              **simulation}}))
+    assert main(["fuse-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error: simulation")
+    else:
+        assert err.startswith("error: simulation step ")
 
 
 def test_unknown_config_key_is_usage_error(herd_csv, tmp_path, capsys):

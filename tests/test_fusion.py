@@ -1,12 +1,15 @@
 """Fusion algebra, limiting behaviour, and the trajectory simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from herdweight import fusion
 from herdweight.errors import InvalidSchedule
 from herdweight.fusion import (
+    CENTER_METHODS,
     FusionParams,
     SimulationConfig,
     ViewUpdateSet,
@@ -29,6 +32,22 @@ def fuse_oracle(u, beta, eps):
     a = np.exp(-beta * d)
     w = a / a.sum(axis=0)
     return m, d, a, w, (w[:, :, None] * u).sum(axis=0)
+
+
+def kernel_reference(u, params, uniform=False):
+    """The kernel with one whole-array expression per quantity; the library
+    must match it bit for bit."""
+    center = u.mean(axis=0) if params.center == "mean" else np.median(u, axis=0)
+    diff = u - center[None]
+    dev = np.sqrt((diff * diff).mean(axis=2) + params.epsilon)
+    if uniform:
+        weights = np.full(dev.shape, 1.0 / len(dev))
+    else:
+        logits = -params.beta * dev
+        shifted = np.exp(logits - logits.max(axis=0, keepdims=True))
+        weights = shifted / shifted.sum(axis=0, keepdims=True)
+    fused = np.einsum("vl,vld->ld", weights, u)
+    return fused, weights, np.exp(-params.beta * dev), dev, center
 
 
 def _views(*scalars):
@@ -81,6 +100,25 @@ def test_agreement_fuse_matches_direct_oracle():
     np.testing.assert_allclose(res.agreement, a, atol=1e-14)
     np.testing.assert_allclose(res.weights, w, atol=1e-13)
     np.testing.assert_allclose(res.fused, fused, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2), (5, 7, 3), (4, 6, 129), (3, 5, 1000)])
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "views-inner"])
+@pytest.mark.parametrize("center", CENTER_METHODS)
+def test_kernel_matches_reference_bit_for_bit(shape, layout, center):
+    raw = np.random.default_rng(27).normal(size=shape) * 3.0
+    if layout == "F":
+        raw = np.asfortranarray(raw)
+    elif layout == "strided":
+        raw = np.concatenate([raw, raw], axis=2)[:, :, ::2]
+    elif layout == "views-inner":
+        raw = np.ascontiguousarray(raw.transpose(1, 0, 2)).transpose(1, 0, 2)
+    u = ViewUpdateSet(raw)
+    params = FusionParams(beta=2.5, epsilon=1e-8, center=center)
+    for res, uniform in ((agreement_fuse(u, params), False), (average_fuse(u, params), True)):
+        got = (res.fused, res.weights, res.agreement, res.deviations, res.consensus)
+        for a, b in zip(got, kernel_reference(raw, params, uniform)):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_beta_zero_equals_average_bit_exact():
@@ -209,16 +247,38 @@ def test_schedule_helpers():
     np.testing.assert_array_equal(constant_schedule(0.3, 3), [0.3, 0.3, 0.3])
 
 
-def test_zero_noise_trajectory_agreement_floor():
+def test_zero_noise_trajectory_agreement_floor(monkeypatch):
     params = FusionParams(beta=1.0, epsilon=1e-8)
     cfg = SimulationConfig(views=3, locations=8, channels=4, steps=10,
                            schedule=constant_schedule(0.0, 10), params=params, seed=5)
+    results = []
+
+    def recording_fuse(updates, p):
+        results.append(agreement_fuse(updates, p))
+        return results[-1]
+
+    monkeypatch.setattr(fusion, "agreement_fuse", recording_fuse)
     trace = simulate_trajectory(cfg)
     expected = math.exp(-params.beta * math.sqrt(params.epsilon))
-    for res in trace.results:
+    assert len(results) == 10
+    for res in results:
         assert (res.agreement == expected).all()  # exact per location/view
     np.testing.assert_allclose(trace.mean_agreement, expected, rtol=1e-14)
     np.testing.assert_allclose(trace.mean_weight, 1.0 / 3.0, atol=1e-15)
+
+
+def test_trajectory_memory_does_not_grow_with_steps():
+    def peak_bytes(steps):
+        cfg = SimulationConfig(views=4, locations=512, channels=16, steps=steps, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_trajectory(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_update_set = 4 * 512 * 16 * 8
+    assert peak_bytes(40) - peak_bytes(5) <= one_update_set
 
 
 def test_decaying_noise_converges_smoke():
@@ -268,3 +328,9 @@ def test_view_update_set_validation():
         FusionParams(epsilon=0.0)
     with pytest.raises(ValueError):
         SimulationConfig(view_bias=np.array([1.0, 2.0]))  # 2 biases for 3 views
+    for bad in ({"views": 2.5}, {"steps": True}, {"locations": np.float64(4.0)},
+                {"seed": -1}, {"seed": 1.5}, {"target_scale": math.nan},
+                {"view_bias": np.array([math.inf, 0.0, 0.0])}):
+        with pytest.raises(ValueError):
+            SimulationConfig(**bad)
+    assert SimulationConfig(views=np.int64(2), steps=np.int32(3)).views == 2
