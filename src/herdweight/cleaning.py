@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, EmptyResult, TooFewPoints
+from .errors import DegenerateCloud, EmptyResult, TooFewPoints, check_number
 from .pointcloud import PointCloud, as_points
 
 # Hypotheses are scored in chunks of _HYPOTHESIS_CHUNK against blocks of
@@ -75,14 +75,17 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_number("inlier_threshold", self.inlier_threshold)
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be > 0")
         if not 0 < self.min_plane_fraction < 1:
             raise ValueError("min_plane_fraction must be in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.max_planes < 1:
-            raise ValueError("max_planes must be >= 1")
+        if not isinstance(self.threshold_is_relative, bool):
+            raise ValueError("threshold_is_relative must be true or false, "
+                             f"got {self.threshold_is_relative!r}")
+        check_number("max_iterations", self.max_iterations, low=1, integer=True)
+        check_number("max_planes", self.max_planes, low=1, integer=True)
+        check_number("seed", self.seed, low=0, integer=True)
 
 
 def resolve_threshold(points, params: RansacParams) -> float:

@@ -14,6 +14,7 @@ import csv
 import glob
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,25 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _run_each(worker, tasks: list, jobs: int) -> list:
+    """``worker(task)`` for each task, in order, in a pool of ``jobs``
+    processes when jobs > 1. A task that raises HerdWeightError or
+    FileNotFoundError gives the exception in place of its result."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(partial(_guarded, worker), tasks))
+    return [_guarded(worker, t) for t in tasks]
+
+
+def _guarded(worker, task):
+    try:
+        return worker(task)
+    except (HerdWeightError, FileNotFoundError) as exc:
+        return exc
+
+
 def _clean_one(task: tuple) -> tuple:
     """Worker for one file: returns (id, before, after, n_planes) or raises."""
     path_str, params, out_dir_str = task
@@ -104,25 +124,10 @@ def cmd_clean(args) -> int:
     cleaned_dir = out / "cleaned"
     cleaned_dir.mkdir(exist_ok=True)
 
-    tasks = [(str(f), config.cleaning, str(cleaned_dir)) for f in files]
-    rows = []
-    failures = []
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_clean_one, t) for t in tasks]
-            for f, fut in zip(files, futures):
-                try:
-                    rows.append(fut.result())
-                except (HerdWeightError, FileNotFoundError) as exc:
-                    failures.append((f, exc))
-    else:
-        for f, t in zip(files, tasks):
-            try:
-                rows.append(_clean_one(t))
-            except (HerdWeightError, FileNotFoundError) as exc:
-                failures.append((f, exc))
+    results = _run_each(_clean_one, [(str(f), config.cleaning, str(cleaned_dir)) for f in files],
+                        args.jobs)
+    rows = [r for r in results if not isinstance(r, Exception)]
+    failures = [(f, r) for f, r in zip(files, results) if isinstance(r, Exception)]
 
     with open_fresh(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -155,24 +160,7 @@ def cmd_features(args) -> int:
 
     ids, rows, kg = [], [], []
     failures = []
-    extracted: list = [None] * len(files)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_features_one, str(f)) for f in files]
-            for i, fut in enumerate(futures):
-                try:
-                    extracted[i] = fut.result()
-                except (HerdWeightError, FileNotFoundError) as exc:
-                    extracted[i] = exc
-    else:
-        for i, f in enumerate(files):
-            try:
-                extracted[i] = _features_one(str(f))
-            except (HerdWeightError, FileNotFoundError) as exc:
-                extracted[i] = exc
-    for f, item in zip(files, extracted):
+    for f, item in zip(files, _run_each(_features_one, [str(f) for f in files], args.jobs)):
         if isinstance(item, Exception):
             failures.append((f, item))
             continue

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .cleaning import RansacParams
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .files import open_fresh
 from .fusion import (
     FusionParams,
@@ -175,18 +175,18 @@ def build_config(raw: dict) -> PipelineConfig:
     m_top = stacking_raw.get("m_top")
     if m_top is None:
         m_top = min(DEFAULT_M_TOP, len(specs))
-    if not isinstance(m_top, int) or not 1 <= m_top <= len(specs):
-        raise ConfigError(f"stacking.m_top must be an integer in [1, {len(specs)}], got {m_top!r}")
+    check_number("stacking.m_top", m_top, low=1, integer=True, error=ConfigError)
+    if m_top > len(specs):
+        raise ConfigError(f"stacking.m_top must be at most {len(specs)}, got {m_top!r}")
     alpha = stacking_raw.get("alpha", 1.0)
-    if not isinstance(alpha, (int, float)) or alpha < 0:
-        raise ConfigError(f"stacking.alpha must be >= 0, got {alpha!r}")
+    check_number("stacking.alpha", alpha, low=0, error=ConfigError)
 
     k = eval_raw.get("k", 5)
     inner_k = eval_raw.get("inner_k", 5)
     seed = eval_raw.get("seed", 0)
-    for name, val in (("k", k), ("inner_k", inner_k)):
-        if not isinstance(val, int) or val < 2:
-            raise ConfigError(f"evaluation.{name} must be an integer >= 2, got {val!r}")
+    check_number("evaluation.k", k, low=2, integer=True, error=ConfigError)
+    check_number("evaluation.inner_k", inner_k, low=2, integer=True, error=ConfigError)
+    check_number("evaluation.seed", seed, low=0, integer=True, error=ConfigError)
 
     try:
         fusion = FusionParams(**fusion_raw)
@@ -194,8 +194,7 @@ def build_config(raw: dict) -> PipelineConfig:
         raise ConfigError(f"fusion: {exc}") from exc
 
     steps = sim_raw.get("steps", 60)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ConfigError(f"simulation.steps must be an integer >= 1, got {steps!r}")
+    check_number("simulation.steps", steps, low=1, integer=True, error=ConfigError)
     schedule = _build_schedule(sim_raw.get("schedule", {}), steps)
     try:
         simulation = SimulationConfig(

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import IoError, NonFiniteInput, NonPositiveTarget, ParseError
 from .features import FEATURE_NAMES
-from .files import open_fresh, read_csv
+from .files import open_fresh, text_blocks
+from .pointcloud import block_floats
 
 DATASET_HEADER = ("animal_id", *FEATURE_NAMES, "weight_kg")
 WEIGHTS_HEADER = ("animal_id", "weight_kg")
@@ -66,8 +67,15 @@ def save_dataset_csv(dataset: HerdDataset, path: str | Path) -> None:
 
 
 def load_dataset_csv(path: str | Path) -> HerdDataset:
-    ids, feats, weights = _read_feature_rows(path, require_weight=True)
-    return HerdDataset(ids=ids, features=feats, weights=np.asarray(weights))
+    def check(header):
+        if tuple(header) == DATASET_HEADER[:-1]:
+            raise ParseError(f"{path}: missing weight_kg column")
+        if tuple(header) != DATASET_HEADER:
+            raise ParseError(f"{path}: header does not match the feature schema")
+
+    _, rows_at, values = _read_table(path, check)
+    return HerdDataset(ids=[animal_id for _, animal_id in rows_at], features=values[:, :-1].copy(),
+                       weights=values[:, -1].copy())
 
 
 def load_features_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -77,68 +85,44 @@ def load_features_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     mismatches surface as DimensionMismatch at predict time rather than
     here.
     """
-    ids, feats, _ = _read_feature_rows(path, require_weight=False, strict=False)
-    return ids, feats
+    def check(header):
+        if len(header) < 2 or header[0] != "animal_id":
+            raise ParseError(f"{path}: first column must be animal_id, then features")
 
-
-def _read_feature_rows(path, require_weight: bool, strict: bool = True):
-    path = Path(path)
-    records = read_csv(path)
-    if not records:
-        raise ParseError(f"{path}: empty file")
-    header = records[0]
-    if strict:
-        has_weight = tuple(header) == DATASET_HEADER
-        if not has_weight and tuple(header) != DATASET_HEADER[:-1]:
-            raise ParseError(f"{path}: header does not match the feature schema")
-    else:
-        if not header or header[0] != "animal_id":
-            raise ParseError(f"{path}: first column must be animal_id")
-        has_weight = header[-1] == "weight_kg"
-    if require_weight and not has_weight:
-        raise ParseError(f"{path}: missing weight_kg column")
-    width = len(header)
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    weights: list[float] = []
-    for lineno, rec in enumerate(records[1:], start=2):
-        if not rec:
-            continue
-        if len(rec) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(rec)}")
-        ids.append(rec[0])
-        try:
-            nums = [float(v) for v in rec[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if has_weight:
-            rows.append(nums[:-1])
-            weights.append(nums[-1])
-        else:
-            rows.append(nums)
-    return ids, np.asarray(rows, dtype=np.float64), weights
+    header, rows_at, values = _read_table(path, check)
+    ids = [animal_id for _, animal_id in rows_at]
+    return ids, values[:, :-1].copy() if header[-1] == "weight_kg" else values
 
 
 def load_weights_csv(path: str | Path) -> dict[str, float]:
     """id -> kg table with header animal_id,weight_kg; ids must be unique."""
-    path = Path(path)
-    records = read_csv(path)
-    if not records:
-        raise ParseError(f"{path}: empty file")
-    if tuple(h.strip() for h in records[0]) != WEIGHTS_HEADER:
-        raise ParseError(f"{path}: expected header animal_id,weight_kg")
-    out: dict[str, float] = {}
+    def check(header):
+        if tuple(h.strip() for h in header) != WEIGHTS_HEADER:
+            raise ParseError(f"{path}: expected header animal_id,weight_kg")
+
+    _, rows_at, values = _read_table(path, check)
     seen_at: dict[str, int] = {}
-    for lineno, rec in enumerate(records[1:], start=2):
-        if not rec:
-            continue
-        if len(rec) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(rec)}")
-        if rec[0] in seen_at:
-            raise ParseError(f"{path}:{lineno}: animal_id {rec[0]!r} repeats line {seen_at[rec[0]]}")
-        seen_at[rec[0]] = lineno
-        try:
-            out[rec[0]] = float(rec[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: cannot parse weight {rec[1]!r}") from None
-    return out
+    for lineno, animal_id in rows_at:
+        if animal_id in seen_at:
+            raise ParseError(f"{path}:{lineno}: animal_id {animal_id!r} repeats line {seen_at[animal_id]}")
+        seen_at[animal_id] = lineno
+    return {animal_id: kg for (_, animal_id), kg in zip(rows_at, values[:, 0].tolist())}
+
+
+def _read_table(path, check_header):
+    """Header, (line number, id) of each row, and the float cells of a CSV
+    table of ids and numbers. ``check_header`` raises on a bad header; empty
+    records are skipped, and every other has the header's width."""
+    header, rows_at, parts = None, [], []
+    with text_blocks(path, csv_records=True) as blocks:
+        for first, rows in blocks:
+            if header is None:
+                header = rows[0]
+                check_header(header)
+                rows[0] = []
+            rows_at += [(i, rec[0]) for i, rec in enumerate(rows, start=first) if rec]
+            parts.append(block_floats(rows, first, lambda i: f"{path}:{i}",
+                                      tuple(range(1, len(header))), len(header)))
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    return header, rows_at, np.concatenate(parts)

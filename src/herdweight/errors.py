@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and one check of settings."""
+
+import math
+import numbers
 
 
 class HerdWeightError(Exception):
@@ -75,3 +78,13 @@ class MissingWeight(HerdWeightError):
 
 class ConfigError(HerdWeightError):
     """Configuration file or CLI override is invalid."""
+
+
+def check_number(name: str, value, low=None, integer: bool = False, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number, an integer
+    if ``integer`` (a bool is neither), and at least ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or not (integer or math.isfinite(value))):
+        raise error(f"{name} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value!r}")

@@ -1,11 +1,19 @@
-"""Opening output files and reading input text."""
+"""Opening output files and reading input text in blocks of rows."""
 
+import codecs
 import csv
-import io
 import os
-from pathlib import Path
+from contextlib import contextmanager
+from functools import partial
+from itertools import chain, islice
 
 from .errors import ParseError
+
+# Input text is read and converted BLOCK_ROWS rows at a time, so parsing
+# holds one block's tokens (about 8 MB for three numbers a row) whatever
+# the file size, while the fixed cost of each block's few calls stays
+# below 1 % of its work.
+BLOCK_ROWS = 16384
 
 
 def open_fresh(path, mode: str = "w", **kwargs):
@@ -21,19 +29,40 @@ def open_fresh(path, mode: str = "w", **kwargs):
     return open(path, mode, **kwargs)
 
 
-def read_text(path) -> str:
-    """The file's contents as UTF-8 text; other bytes are a ParseError."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+def row_blocks(rows, first: int = 1):
+    """``(number of its first row, rows)`` for consecutive blocks of up to
+    BLOCK_ROWS items of the iterable ``rows``, numbered from ``first``."""
+    while block := list(islice(rows, BLOCK_ROWS)):
+        yield first, block
+        first += len(block)
 
 
-def read_csv(path) -> list[list[str]]:
-    """Every record of a UTF-8 CSV file; a malformed file is a ParseError."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+@contextmanager
+def text_blocks(path, csv_records: bool = False):
+    """The `row_blocks` of a UTF-8 text file, open for the ``with`` block:
+    CSV records, or else each line's whitespace-separated tokens (universal
+    newlines). Non-UTF-8 bytes and malformed CSV raise ParseError as their
+    block is read, before any other error in that block."""
+    with open(path, encoding="utf-8", newline="" if csv_records else None) as f:
+        rows = csv.reader(f) if csv_records else map(str.split, f)
+        try:
+            yield row_blocks(rows)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text ({_utf8_fault(path)})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{rows.line_num}: {exc}") from None
+
+
+def _utf8_fault(path) -> str:
+    """Why and at which byte UTF-8 decoding fails. The text reader counts
+    from its chunk, so this decodes the file again 1 MB at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = 0
+    with open(path, "rb") as f:
+        for chunk in chain(iter(partial(f.read, 1 << 20), b""), [b""]):
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:  # exc.start counts from the first undecoded byte
+                return f"{exc.reason} at byte {fed - len(decoder.getstate()[0]) + exc.start}"
+            fed += len(chunk)
+    return "the file changed while it was read"

@@ -15,13 +15,12 @@ as a CSV trace.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSchedule, IoError, NonFiniteInput
+from .errors import InvalidSchedule, IoError, NonFiniteInput, check_number
 from .files import open_fresh
 
 CENTER_METHODS = ("mean", "median")
@@ -189,16 +188,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         for name in ("views", "locations", "channels", "steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.views, self.locations, self.channels, self.steps) < 1:
-            raise ValueError("views, locations, channels and steps must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        scale = self.target_scale
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not np.isfinite(scale):
-            raise ValueError(f"target_scale must be a finite number, got {scale!r}")
+            check_number(name, getattr(self, name), low=0 if name == "seed" else 1, integer=True)
+        check_number("target_scale", self.target_scale)
         sched = self.schedule
         if sched is None:
             sched = geometric_schedule(1.0, 0.88, self.steps)

@@ -10,16 +10,18 @@ deduplicated.
 
 from __future__ import annotations
 
+import io
+import operator
 import os
+import sys
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyCloud, IoError, NonFiniteCoordinate, ParseError
-from .files import open_fresh, read_csv, read_text
+from .files import open_fresh, row_blocks, text_blocks
 
 XYZ_ASCII = "xyz-ascii"
 CSV_FORMAT = "csv"
@@ -72,21 +74,41 @@ def as_points(cloud) -> np.ndarray:
     return PointCloud(np.asarray(cloud, dtype=np.float64)).points
 
 
-def _parse_float(token: str, where: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"{where}: cannot parse {token!r} as a number") from None
-
-
-def _coordinates(rows) -> np.ndarray | None:
-    """(N, 3) float64 array from N rows of three decimal strings (any
-    iterable), or None if a token is not a number. Each string goes through
-    float(), so the values are bit-identical to a per-token parse."""
-    try:
-        return np.array(list(chain.from_iterable(rows)), dtype=np.float64).reshape(-1, 3)
-    except ValueError:
-        return None
+def block_floats(rows, first: int, where, cols=(0, 1, 2), width: int = 3, exact: bool = True,
+                 blank=operator.not_) -> np.ndarray:
+    """The ``cols`` cells of a block of rows, the first numbered ``first``,
+    as an (n, len(cols)) float64 array. Rows for which ``blank`` is true
+    (as it must be for an empty row; None skips none) are skipped; the
+    others have ``width`` fields, or at least ``width`` unless ``exact``.
+    One ``np.array`` call converts the block, with float()'s value for
+    every cell. Only if it fails is the block re-scanned row by row, to
+    raise the first bad row's ParseError (``where(row number)`` names it)
+    or to convert cells padded with \\x1c-\\x1f, which str.strip()
+    removes and float() rejects."""
+    kept = rows if blank is None else list(filter(None, rows))
+    lengths = set(map(len, kept))
+    if lengths <= {width} if exact else min(lengths, default=width) >= width:
+        if lengths == {len(cols)} and cols == tuple(range(len(cols))):
+            cells = chain.from_iterable(kept)  # the rows are the cells
+        else:
+            picked = map(operator.itemgetter(*cols), kept)
+            cells = picked if len(cols) == 1 else chain.from_iterable(picked)
+        try:
+            return np.array(list(cells), dtype=np.float64).reshape(-1, len(cols))
+        except ValueError:
+            pass
+    out = []
+    for i, row in enumerate(rows, start=first):
+        if blank is not None and blank(row):
+            continue
+        if len(row) < width or exact and len(row) > width:
+            raise ParseError(f"{where(i)}: expected {width} fields, got {len(row)}")
+        for c in cols:
+            try:
+                out.append(float(row[c].strip()))
+            except ValueError:
+                raise ParseError(f"{where(i)}: cannot parse {row[c]!r} as a number") from None
+    return np.array(out, dtype=np.float64).reshape(-1, len(cols))
 
 
 def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
@@ -111,63 +133,37 @@ def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
     return PointCloud(pts)
 
 
-# The loaders below parse every row in one pass and convert all tokens at
-# once. When that fails, they re-scan row by row, which raises the error
-# of the first bad line, or (for oddities the fast pass does not cover)
-# returns the rows.
-
 def _load_xyz(path: Path) -> np.ndarray:
-    # Universal newlines, as when iterating over a text-mode file.
-    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    rows = [parts for parts in map(str.split, lines) if parts]
-    if set(map(len, rows)) <= {3}:
-        pts = _coordinates(rows)
-        if pts is not None:
-            return pts
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
-        if parts and len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        out.extend(_parse_float(token, f"{path}:{lineno}") for token in parts)
-    return np.array(out, dtype=np.float64).reshape(-1, 3)
+    parts = [np.empty((0, 3))]
+    with text_blocks(path) as blocks:
+        for first, rows in blocks:
+            parts.append(block_floats(rows, first, lambda i: f"{path}:{i}"))
+    return np.concatenate(parts)
 
 
 def _load_csv(path: Path) -> np.ndarray:
-    records = read_csv(path)
-    blank = [not "".join(rec).strip() for rec in records]
     cols = (0, 1, 2)
-    if records and not blank[0] and _looks_like_header(records[0]):
-        cols = _header_columns(records[0], path)
-        blank[0] = True
-    rows = [rec for rec, skip in zip(records, blank) if not skip]
-    width = max(cols) + 1
-    if min(map(len, rows), default=width) >= width:
-        pts = _coordinates(map(itemgetter(*cols), rows))
-        if pts is not None:
-            return pts
-    # Cells are stripped here: str.strip() also removes the separators
-    # \x1c-\x1f around a number, which float() rejects.
-    out = []
-    for lineno, (rec, skip) in enumerate(zip(records, blank), start=1):
-        if skip:
-            continue
-        if len(rec) < width:
-            raise ParseError(f"{path}:{lineno}: expected at least {width} columns, got {len(rec)}")
-        out.append([_parse_float(rec[c].strip(), f"{path}:{lineno}") for c in cols])
-    return np.array(out, dtype=np.float64).reshape(-1, 3)
+    parts = [np.empty((0, 3))]
+    with text_blocks(path, csv_records=True) as blocks:
+        for first, rows in blocks:
+            if first == 1 and not _blank_record(rows[0]) and (named := _header_columns(rows[0], path)):
+                cols, rows[0] = named, []
+            parts.append(block_floats(rows, first, lambda i: f"{path}:{i}", cols, max(cols) + 1,
+                                      exact=False, blank=_blank_record))
+    return np.concatenate(parts)
 
 
-def _looks_like_header(rec: list[str]) -> bool:
+def _blank_record(rec: list[str]) -> bool:
+    return not "".join(rec).strip()
+
+
+def _header_columns(rec: list[str], path: Path) -> tuple[int, int, int] | None:
+    """The x, y and z columns a header names, or None if ``rec`` is data."""
     try:
         float(rec[0].strip())
-        return False
+        return None
     except ValueError:
-        return True
-
-
-def _header_columns(rec: list[str], path: Path) -> tuple[int, int, int]:
-    names = [c.strip().lower() for c in rec]
+        names = [c.strip().lower() for c in rec]
     try:
         return names.index("x"), names.index("y"), names.index("z")
     except ValueError:
@@ -250,27 +246,22 @@ def _read_ply_header(f, path: Path) -> dict:
 
 
 def _read_ply_ascii_vertices(f, header: dict, path: Path) -> np.ndarray:
-    # Every element instance is one text line, so preceding elements are skippable.
-    lines = f.read().decode("ascii", errors="replace").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the empty tail after a final newline is not a line
+    # Every element instance is one line, so preceding elements are skipped.
+    # Clamping hostile counts to islice's sys.maxsize limit changes nothing.
     skip = sum(count for _, count, _ in header["before_vertex"])
     n = header["n_vertex"]
-    rows = list(map(str.split, lines[skip : skip + n]))
     names = [p[1] for p in header["vertex_props"]]
-    ix, iy, iz = names.index("x"), names.index("y"), names.index("z")
-    if len(rows) == n and min(map(len, rows)) >= len(names):
-        pts = _coordinates(map(itemgetter(ix, iy, iz), rows))
-        if pts is not None:
-            return pts
-    out = []
-    for i, parts in enumerate(rows):
-        if len(parts) < len(names):
-            raise ParseError(f"{path}: vertex {i}: expected {len(names)} fields, got {len(parts)}")
-        out.append([_parse_float(parts[c], f"{path}: vertex {i}") for c in (ix, iy, iz)])
-    if len(rows) < n:
-        raise ParseError(f"{path}: expected {n} vertices, file ends at {len(rows)}")
-    return np.array(out, dtype=np.float64)
+    cols = names.index("x"), names.index("y"), names.index("z")
+    parts = [np.empty((0, 3))]
+    with io.TextIOWrapper(f, encoding="ascii", errors="replace", newline="\n") as text:
+        lines = islice(text, min(skip, sys.maxsize), min(skip + n, sys.maxsize))
+        for first, rows in row_blocks(map(str.split, lines), first=0):
+            parts.append(block_floats(rows, first, lambda i: f"{path}: vertex {i}", cols, len(names),
+                                      exact=False, blank=None))
+    pts = np.concatenate(parts)
+    if len(pts) < n:
+        raise ParseError(f"{path}: expected {n} vertices, file ends at {len(pts)}")
+    return pts
 
 
 def _ply_dtype(plist, path: Path, what: str) -> np.dtype:

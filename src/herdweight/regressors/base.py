@@ -22,6 +22,7 @@ from ..errors import (
     InvalidHyperparameter,
     NonFiniteInput,
     NonPositiveTarget,
+    check_number,
 )
 
 # Stand-ins for third-party boosting variants: same family, three profiles.
@@ -54,11 +55,7 @@ def default_model_specs(seed: int = 0) -> list[ModelSpec]:
     return [ModelSpec(name=f, family=f, seed=seed) for f in FAMILIES]
 
 
-def _check_int(name: str, value, low: int | None = None) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InvalidHyperparameter(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise InvalidHyperparameter(f"{name} must be >= {low}, got {value}")
+_check_int = partial(check_number, integer=True, error=InvalidHyperparameter)
 
 
 def _check_pos(name: str, value) -> None:
@@ -74,6 +71,7 @@ def validate_spec(spec: ModelSpec) -> None:
     extra = set(spec.params) - known
     if extra:
         raise InvalidHyperparameter(f"{spec.name}: unknown hyperparameters {sorted(extra)} for family {spec.family!r}")
+    _check_int(f"{spec.name}: seed", spec.seed, low=0)
     p = spec.resolved_params()
     if "alpha" in p and (not np.isfinite(p["alpha"]) or p["alpha"] < 0):
         raise InvalidHyperparameter(f"{spec.name}: alpha must be >= 0")

@@ -450,6 +450,25 @@ def test_fuse_sim_hostile_config_exits_cleanly(tmp_path, capsys, simulation, cod
         assert err.startswith("error: simulation step ")
 
 
+@pytest.mark.parametrize("section, values", [
+    ("evaluation", {"seed": -1}), ("evaluation", {"seed": 1.5}), ("evaluation", {"seed": True}),
+    ("models", {"seed": -1}), ("models", {"seed": 1.5}),
+    ("stacking", {"alpha": float("nan")}), ("stacking", {"alpha": float("inf")}),
+    ("stacking", {"alpha": True}), ("stacking", {"m_top": True}),
+    ("cleaning", {"max_iterations": 2.5}), ("cleaning", {"max_iterations": True}),
+    ("cleaning", {"seed": -1}), ("cleaning", {"seed": 1.5}),
+    ("cleaning", {"inlier_threshold": float("nan")}), ("cleaning", {"max_planes": 1.5}),
+    ("cleaning", {"threshold_is_relative": "no"}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v))
+def test_hostile_config_value_exits_cleanly(herd_csv, scene_dir, tmp_path, capsys, section, values):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({section: values}))
+    argv = ["clean", str(scene_dir)] if section == "cleaning" else ["cv", str(herd_csv)]
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_unknown_config_key_is_usage_error(herd_csv, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"modelz": {}}))

@@ -1,5 +1,7 @@
 """Loader/saver contracts: parsing, validation, round-trip stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,17 @@ def test_ply_binary_hostile_counts_are_parse_errors(tmp_path):
             load_point_cloud(p, PLY_BINARY_LE)
 
 
+@pytest.mark.parametrize("head", ["element vertex 99999999999999999999\n",
+                                  "element face 99999999999999999999999\nproperty uchar a\nelement vertex 1\n",
+                                  "element face 9223372036854775807\nproperty uchar a\nelement vertex 5\n"])
+def test_ply_ascii_hostile_counts_are_parse_errors(tmp_path, head):
+    p = tmp_path / "hostile.ply"
+    p.write_text(f"ply\nformat ascii 1.0\n{head}property float x\nproperty float y\nproperty float z\n"
+                 "end_header\n0 0 0\n")
+    with pytest.raises(ParseError, match="file ends at"):
+        load_point_cloud(p, PLY_ASCII)
+
+
 def test_csv_reader_error_is_parse_error(tmp_path):
     p = tmp_path / "huge_field.csv"
     p.write_text("0,0,0\n1," + "1" * 200_000 + ",0\n")
@@ -239,3 +252,22 @@ def test_text_values_match_float_token_by_token(tmp_path):
     p = tmp_path / "odd.csv"
     p.write_text("x,y,z\n" + "\n".join(",".join(f"\x1c{t} " for t in tokens[i:i + 3]) for i in (0, 3, 6)))
     np.testing.assert_array_equal(load_point_cloud(p, CSV_FORMAT).points, want)
+
+
+@pytest.mark.parametrize("fmt", [XYZ_ASCII, CSV_FORMAT, PLY_ASCII])
+def test_text_load_peak_memory_per_point_is_flat(tmp_path, fmt):
+    """Text is parsed in blocks: from 32k to 128k points the traced peak of
+    a load grows by at most 64 B per added point, of which the (N, 3)
+    float64 result and its block parts take 48."""
+    sizes = (1 << 15, 1 << 17)
+    peaks = []
+    for n in sizes:
+        p = tmp_path / f"cloud{n}"
+        save_point_cloud(PointCloud(np.random.default_rng(n).normal(size=(n, 3))), p, fmt)
+        tracemalloc.start()
+        try:
+            load_point_cloud(p, fmt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= 64
