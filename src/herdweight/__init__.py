@@ -60,6 +60,7 @@ from .stacking import (
     ModelRanking,
     StackedEnsemble,
     fit_stack,
+    inner_pass,
     predict_stack,
     rank_base_models,
 )
@@ -78,5 +79,5 @@ __all__ = [
     "deviations", "geometric_schedule", "simulate_trajectory",
     "FORMATS", "PointCloud", "detect_format", "load_point_cloud", "save_point_cloud",
     "ModelSpec", "default_model_specs", "fit",
-    "ModelRanking", "StackedEnsemble", "fit_stack", "predict_stack", "rank_base_models",
+    "ModelRanking", "StackedEnsemble", "fit_stack", "inner_pass", "predict_stack", "rank_base_models",
 ]

@@ -40,9 +40,8 @@ from .stacking import (
     ensemble_from_dict,
     ensemble_to_dict,
     fit_stack,
-    oof_predictions,
+    inner_pass,
     predict_stack,
-    rank_base_models,
 )
 
 _CLOUD_SUFFIXES = (".xyz", ".txt", ".csv", ".ply")
@@ -158,7 +157,7 @@ def cmd_features(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    ids, rows, kg = [], [], []
+    first_of, rows, kg = {}, [], []   # first_of: id -> the file that gave its row
     failures = []
     for f, item in zip(files, _run_each(_features_one, [str(f) for f in files], args.jobs)):
         if isinstance(item, Exception):
@@ -168,12 +167,15 @@ def cmd_features(args) -> int:
         if stem not in weights:
             failures.append((f, MissingWeight(f"no weight row for id {stem!r}")))
             continue
-        ids.append(stem)
+        if stem in first_of:
+            failures.append((f, HerdWeightError(f"animal_id {stem!r} repeats {first_of[stem]}")))
+            continue
+        first_of[stem] = f
         rows.append(values)
         kg.append(weights[stem])
 
-    if ids:
-        dataset = HerdDataset(ids=ids, features=np.vstack(rows), weights=np.asarray(kg))
+    if rows:
+        dataset = HerdDataset(ids=list(first_of), features=np.vstack(rows), weights=np.asarray(kg))
         save_dataset_csv(dataset, out / "dataset.csv")
     write_resolved_config(config, out)
     for f, exc in failures:
@@ -258,16 +260,13 @@ def cmd_train(args) -> int:
     dataset = load_dataset_csv(args.dataset)
     X, y = dataset.matrices()
     out = _prepare_out(args)
-    folds = kfold_split(len(y), config.inner_k, config.seed)
-    oof = oof_predictions(X, y, config.specs, folds)
-    ranking = rank_base_models(X, y, config.specs, folds=folds, oof=oof)
-    ensemble = fit_stack(X, y, config.specs, ranking, m_top=config.m_top, folds=folds, oof=oof,
-                         alpha=config.alpha)
+    inner = inner_pass(X, y, config.specs, kfold_split(len(y), config.inner_k, config.seed))
+    ensemble = fit_stack(X, y, config.specs, inner, m_top=config.m_top, alpha=config.alpha)
     payload = ensemble_to_dict(ensemble)
     payload["n_features"] = X.shape[1]
     payload["tool_version"] = __version__
     _write_json(payload, out / "model.json")
-    _write_ranking_csv(ranking, out / "ranking.csv")
+    _write_ranking_csv(inner.ranking, out / "ranking.csv")
     write_resolved_config(config, out)
     return 0
 

@@ -9,7 +9,7 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,11 @@ from .regressors import (
 DEFAULT_M_TOP = 11
 
 _TOP_KEYS = {"tool_version", "cleaning", "models", "stacking", "evaluation", "fusion", "simulation"}
-_CLEANING_KEYS = {"inlier_threshold", "threshold_is_relative", "max_iterations",
-                  "min_plane_fraction", "max_planes", "seed"}
+_CLEANING_KEYS = {f.name for f in fields(RansacParams)}
 _MODELS_KEYS = {"specs", "seed"}
 _STACKING_KEYS = {"m_top", "alpha"}
 _EVALUATION_KEYS = {"k", "inner_k", "seed"}
-_FUSION_KEYS = {"beta", "epsilon", "center"}
+_FUSION_KEYS = {f.name for f in fields(FusionParams)}
 _SIMULATION_KEYS = {"views", "locations", "channels", "steps", "seed", "contraction",
                     "schedule", "view_bias", "target_scale"}
 _SCHEDULE_KEYS = {"kind", "sigma0", "decay", "values"}
@@ -72,19 +71,11 @@ class PipelineConfig:
         sim = self.simulation
         return {
             "tool_version": __version__,
-            "cleaning": {
-                "inlier_threshold": self.cleaning.inlier_threshold,
-                "threshold_is_relative": self.cleaning.threshold_is_relative,
-                "max_iterations": self.cleaning.max_iterations,
-                "min_plane_fraction": self.cleaning.min_plane_fraction,
-                "max_planes": self.cleaning.max_planes,
-                "seed": self.cleaning.seed,
-            },
+            "cleaning": asdict(self.cleaning),
             "models": {"specs": [spec_to_dict(s) for s in self.specs]},
             "stacking": {"m_top": self.m_top, "alpha": self.alpha},
             "evaluation": {"k": self.k, "inner_k": self.inner_k, "seed": self.seed},
-            "fusion": {"beta": self.fusion.beta, "epsilon": self.fusion.epsilon,
-                       "center": self.fusion.center},
+            "fusion": asdict(self.fusion),
             "simulation": {
                 "views": sim.views, "locations": sim.locations, "channels": sim.channels,
                 "steps": sim.steps, "seed": sim.seed, "contraction": sim.contraction,

@@ -74,7 +74,7 @@ def load_dataset_csv(path: str | Path) -> HerdDataset:
             raise ParseError(f"{path}: header does not match the feature schema")
 
     _, rows_at, values = _read_table(path, check)
-    return HerdDataset(ids=[animal_id for _, animal_id in rows_at], features=values[:, :-1].copy(),
+    return HerdDataset(ids=_unique_ids(path, rows_at), features=values[:, :-1].copy(),
                        weights=values[:, -1].copy())
 
 
@@ -101,12 +101,18 @@ def load_weights_csv(path: str | Path) -> dict[str, float]:
             raise ParseError(f"{path}: expected header animal_id,weight_kg")
 
     _, rows_at, values = _read_table(path, check)
+    return dict(zip(_unique_ids(path, rows_at), values[:, 0].tolist()))
+
+
+def _unique_ids(path, rows_at) -> list[str]:
+    """The ids of ``rows_at`` ((line number, id) pairs) in order; a
+    repeated id is a ParseError naming its line and its first line."""
     seen_at: dict[str, int] = {}
     for lineno, animal_id in rows_at:
         if animal_id in seen_at:
             raise ParseError(f"{path}:{lineno}: animal_id {animal_id!r} repeats line {seen_at[animal_id]}")
         seen_at[animal_id] = lineno
-    return {animal_id: kg for (_, animal_id), kg in zip(rows_at, values[:, 0].tolist())}
+    return list(seen_at)
 
 
 def _read_table(path, check_header):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidK, LengthMismatch, NonPositiveTarget, ZeroVarianceTarget
 
 if TYPE_CHECKING:
-    from .stacking import ModelRanking
+    from .stacking import InnerPass, ModelRanking
 
 __all__ = [
     "FoldAssignment",
@@ -49,10 +49,6 @@ class FoldAssignment:
     k: int
     fold_of: np.ndarray
     seed: int
-
-    @property
-    def n(self) -> int:
-        return self.fold_of.shape[0]
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
@@ -186,20 +182,18 @@ def _inner_seed(seed: int, outer_fold: int) -> int:
 class OuterFold:
     """One outer fold of nested CV, with every base fit it needs done once.
 
-    ``oof`` holds the inner out-of-fold predictions of every spec on the
-    outer-train rows (columns in spec order), ``ranking`` ranks the specs
-    on them, and ``base_test`` holds every spec refit on all outer-train
-    rows and predicted on the held-out rows (columns in rank order). A
-    stack of any size is scored from these with no further base fit.
+    ``inner`` is the inner pass (``stacking.inner_pass``) on the
+    outer-train rows, and ``base_test`` holds every spec refit on all
+    outer-train rows and predicted on the held-out rows (columns in rank
+    order). A stack of any size is scored from these with no further base
+    fit.
     ``log``, kept for the leakage audit, holds every fit the fold makes:
     inner out-of-fold fits, combiner and refits.
     """
 
     train_ids: np.ndarray
     test_ids: np.ndarray
-    inner: FoldAssignment
-    oof: np.ndarray
-    ranking: ModelRanking
+    inner: InnerPass
     base_test: np.ndarray
     log: ProvenanceLog | None
 
@@ -214,23 +208,21 @@ def _outer_fold_task(args) -> OuterFold:
     X_train, y_train, X_test = X[train_ids], y[train_ids], X[test_ids]
 
     log = ProvenanceLog() if audit else None
-    inner = kfold_split(len(train_ids), inner_k, _inner_seed(outer_seed, fold))
-    oof = stacking.oof_predictions(X_train, y_train, specs, inner, log=log, sample_ids=train_ids)
-    ranking = stacking.rank_base_models(X_train, y_train, specs, k=inner_k, folds=inner, oof=oof)
-    by_name = {s.name: s for s in specs}
+    inner = stacking.inner_pass(X_train, y_train, specs,
+                                kfold_split(len(train_ids), inner_k, _inner_seed(outer_seed, fold)),
+                                log=log, sample_ids=train_ids)
 
-    def refit(name):
+    def refit(spec):
         if log is not None:
-            log.record(f"refit model={name}", train_ids)
-        return stacking.fit_base(by_name[name], X_train, y_train).predict(X_test)
+            log.record(f"refit model={spec.name}", train_ids)
+        return stacking.fit_base(spec, X_train, y_train).predict(X_test)
 
     if log is not None:
         log.record("combiner", train_ids)
     # column_stack, not fancy indexing: a C-ordered matrix keeps the
     # prediction's BLAS summation order, and so its last bit, fixed
-    base_test = np.column_stack([refit(name) for name in ranking.top(len(specs))])
-    return OuterFold(train_ids=train_ids, test_ids=test_ids, inner=inner, oof=oof, ranking=ranking,
-                     base_test=base_test, log=log)
+    base_test = np.column_stack([refit(specs[i]) for i in inner.order])
+    return OuterFold(train_ids=train_ids, test_ids=test_ids, inner=inner, base_test=base_test, log=log)
 
 
 @dataclass(frozen=True)
@@ -248,17 +240,9 @@ class NestedCV:
 
     def metrics(self, m_top: int, alpha: float) -> MetricReport:
         """Held-out metrics of the stack over the top ``m_top`` members."""
-        from . import stacking  # imported here to avoid a module cycle
-
-        if not 1 <= m_top <= len(self.specs):
-            raise ValueError(f"m_top must be in [1, {len(self.specs)}], got {m_top}")
-        col_of = {s.name: i for i, s in enumerate(self.specs)}
         triples = []
         for rec in self.folds:
-            cols = [col_of[name] for name in rec.ranking.top(m_top)]
-            rank_mapes = [e.mape for e in rec.ranking.entries[:m_top]]
-            w, b = stacking.fit_combiner(rec.oof[:, cols], self.y[rec.train_ids], rec.inner,
-                                         rank_mapes, alpha)
+            w, b = rec.inner.combiner(self.y[rec.train_ids], m_top, alpha)
             triples.append(compute_metrics(self.y[rec.test_ids], rec.base_test[:, :w.size] @ w + b))
         return report_from_triples(triples)
 
@@ -272,17 +256,15 @@ class NestedCV:
         return rows
 
     def ranking(self) -> ModelRanking:
-        """What ``rank_base_models(X, y, specs, k=k, seed=seed)`` returns,
-        with no fit of its own: it ranks on the outer folds, whose
-        out-of-fold predictions are the held-out refit predictions."""
+        """What ``inner_pass(X, y, specs, outer).ranking`` returns, with no
+        fit of its own: on the outer folds, the out-of-fold predictions
+        are the held-out refit predictions."""
         from . import stacking  # imported here to avoid a module cycle
 
-        col_of = {s.name: i for i, s in enumerate(self.specs)}
         oof = np.empty((len(self.y), len(self.specs)))
         for rec in self.folds:
-            for rank, name in enumerate(rec.ranking.top(len(self.specs))):
-                oof[rec.test_ids, col_of[name]] = rec.base_test[:, rank]
-        return stacking.rank_base_models(None, self.y, self.specs, folds=self.outer, oof=oof)
+            oof[np.ix_(rec.test_ids, rec.inner.order)] = rec.base_test
+        return stacking.rank_base_models(self.y, oof, self.outer, self.specs)[0]
 
     def audit(self) -> AuditReport:
         """Leakage audit: no logged fit may have seen its fold's held-out rows."""

@@ -1,7 +1,9 @@
 """Model ranking, out-of-fold meta-features, and the ridge combiner.
 
 Base models are ranked by cross-validated MAPE on a shared fold
-assignment. The meta-features handed to the combiner are strictly
+assignment. ``inner_pass`` fits every spec once on every fold and ranks
+them; ``train`` and each outer fold of nested CV fit their stack from
+that one record. The meta-features handed to the combiner are strictly
 out-of-fold: sample i's column entries come from models fit with i's
 fold held out, so no target leaks into its own meta-feature. The
 combiner is a closed-form ridge on centred meta-features with an
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HerdWeightError, NonPositiveTarget
-from .evaluation import FoldAssignment, compute_metrics, kfold_split
+from .evaluation import FoldAssignment, compute_metrics
 from .regressors import (
     FittedModel,
     ModelSpec,
@@ -53,12 +55,6 @@ class ModelRanking:
     """Base models ordered by CV MAPE ascending (ties: declaration order)."""
 
     entries: tuple[RankedModel, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def top(self, m: int) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries[:m])
 
 
 @dataclass
@@ -102,27 +98,50 @@ def oof_predictions(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=
     return out
 
 
-def rank_base_models(X, y, specs, *, k: int = 5, seed: int = 0,
-                     folds: FoldAssignment | None = None,
-                     oof: np.ndarray | None = None) -> ModelRanking:
-    """Rank specs by mean CV MAPE over a shared fold assignment."""
-    y = np.asarray(y, dtype=np.float64)
-    if folds is None:
-        folds = kfold_split(len(y), k, seed)
-    if oof is None:
-        oof = oof_predictions(X, y, specs, folds)
+def rank_base_models(y, oof: np.ndarray, folds: FoldAssignment,
+                     specs) -> tuple[ModelRanking, tuple[int, ...]]:
+    """Rank specs by the mean over ``folds`` of their out-of-fold MAPE.
 
+    ``oof`` holds one out-of-fold column per spec, in spec order. Returns
+    the ranking and the spec index of each rank.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    tests = [folds.test_indices(f) for f in range(folds.k)]
     means = []
-    for m, spec in enumerate(specs):
-        triples = [compute_metrics(y[folds.test_indices(f)], oof[folds.test_indices(f), m])
-                   for f in range(folds.k)]
-        means.append((float(np.mean([t.mape for t in triples])),
-                      float(np.mean([t.r2 for t in triples])),
-                      float(np.mean([t.mae for t in triples]))))
-    order = sorted(range(len(specs)), key=lambda m: (means[m][0], m))
-    entries = tuple(RankedModel(name=specs[m].name, mape=means[m][0], r2=means[m][1], mae=means[m][2])
-                    for m in order)
-    return ModelRanking(entries=entries)
+    for m in range(len(specs)):
+        triples = [compute_metrics(y[te], oof[te, m]) for te in tests]
+        means.append([float(np.mean([getattr(t, key) for t in triples])) for key in ("mape", "r2", "mae")])
+    order = tuple(sorted(range(len(specs)), key=lambda m: (means[m][0], m)))
+    return ModelRanking(entries=tuple(RankedModel(specs[m].name, *means[m]) for m in order)), order
+
+
+@dataclass(frozen=True)
+class InnerPass:
+    """Every spec fit once on every fold of ``folds``, and ranked.
+
+    ``oof`` is the out-of-fold matrix with columns in spec order, and
+    ``order`` the spec index of each rank. The combiner of a stack of any
+    size is fit from this record with no further base fit.
+    """
+
+    folds: FoldAssignment
+    oof: np.ndarray
+    ranking: ModelRanking
+    order: tuple[int, ...]
+
+    def combiner(self, y, m_top: int, alpha: float) -> tuple[np.ndarray, float]:
+        """``fit_combiner`` on the columns of the top ``m_top`` ranks."""
+        if not 1 <= m_top <= len(self.order):
+            raise ValueError(f"m_top must be in [1, {len(self.order)}], got {m_top}")
+        rank_mapes = [e.mape for e in self.ranking.entries[:m_top]]
+        return fit_combiner(self.oof[:, self.order[:m_top]], y, self.folds, rank_mapes, alpha)
+
+
+def inner_pass(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None) -> InnerPass:
+    """Fit every spec on every fold of ``folds`` once and rank the specs."""
+    oof = oof_predictions(X, y, specs, folds, log=log, sample_ids=sample_ids)
+    ranking, order = rank_base_models(y, oof, folds, specs)
+    return InnerPass(folds=folds, oof=oof, ranking=ranking, order=order)
 
 
 def ridge_combiner(meta: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
@@ -175,49 +194,28 @@ def choose_stack_size(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
 def fit_combiner(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
                  rank_mapes, alpha: float) -> tuple[np.ndarray, float]:
     """Ridge combiner on the leading ``choose_stack_size`` columns of
-    ``meta``; returns one weight per column it uses."""
-    meta = np.asarray(meta, dtype=np.float64)
+    ``meta``; returns one weight per column it uses.
+
+    ``meta`` is taken in C order whatever its layout: the BLAS sums, and so
+    the last bits of the weights, depend on it.
+    """
+    meta = np.ascontiguousarray(meta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     size = choose_stack_size(meta, y, folds, rank_mapes, alpha)
     return ridge_combiner(meta[:, :size], y, alpha)
 
 
-def fit_stack(X, y, specs, ranking: ModelRanking, *, m_top: int | None = None,
-              k: int = 5, seed: int = 0, alpha: float = DEFAULT_RIDGE_ALPHA,
-              folds: FoldAssignment | None = None,
-              oof: np.ndarray | None = None) -> StackedEnsemble:
-    """Fit the combiner on out-of-fold meta-features; refit its members on all data.
-
-    ``oof``, when given, must be the (n, len(specs)) matrix aligned with
-    ``specs`` and computed on ``folds`` (default ``kfold_split(n, k,
-    seed)``) — the top columns are sliced out of it instead of refitting.
-    """
+def fit_stack(X, y, specs, inner: InnerPass, *, m_top: int,
+              alpha: float = DEFAULT_RIDGE_ALPHA) -> StackedEnsemble:
+    """Fit the combiner on the top ``m_top`` ranks of ``inner``, the inner
+    pass over ``specs``; refit the members it uses on all data."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if m_top is None:
-        m_top = len(ranking)
-    if not 1 <= m_top <= len(ranking):
-        raise ValueError(f"m_top must be in [1, {len(ranking)}], got {m_top}")
-    by_name = {s.name: s for s in specs}
-    top_names = ranking.top(m_top)
-    top_specs = [by_name[name] for name in top_names]
-
-    if folds is None:
-        folds = kfold_split(len(y), k, seed)
-    if oof is not None:
-        col_of = {s.name: i for i, s in enumerate(specs)}
-        # C order, as oof_predictions returns it: the combiner's BLAS sums
-        # depend on the operand layout, and model.json must not.
-        meta = np.ascontiguousarray(oof[:, [col_of[name] for name in top_names]])
-    else:
-        meta = oof_predictions(X, y, top_specs, folds)
-
-    rank_mapes = [e.mape for e in ranking.entries[:m_top]]
-    weights, intercept = fit_combiner(meta, y, folds, rank_mapes, alpha)
-    used = top_specs[:len(weights)]
+    weights, intercept = inner.combiner(y, m_top, alpha)
+    used = [specs[i] for i in inner.order[:len(weights)]]
     models = [fit_base(spec, X, y) for spec in used]
     return StackedEnsemble(specs=used, models=models, weights=weights,
-                           intercept=intercept, alpha=alpha, ranking=ranking)
+                           intercept=intercept, alpha=alpha, ranking=inner.ranking)
 
 
 def predict_stack(ensemble: StackedEnsemble, X) -> np.ndarray:

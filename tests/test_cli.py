@@ -12,6 +12,7 @@ from herdweight import stacking
 from herdweight.cli import _write_ranking_csv, main
 from herdweight.config import load_config
 from herdweight.dataset import HerdDataset, load_dataset_csv, save_dataset_csv
+from herdweight.evaluation import kfold_split
 from herdweight.features import FEATURE_NAMES, extract_feature_vector
 from herdweight.pointcloud import PLY_BINARY_LE, XYZ_ASCII, PointCloud, save_point_cloud
 from herdweight.regressors import ModelSpec, fit
@@ -169,6 +170,27 @@ def test_features_missing_weight(tmp_path, capsys):
     assert "no weight row" in capsys.readouterr().err
 
 
+def test_features_repeated_stem_fails_alone(tmp_path, capsys):
+    """cow1.ply and cow1.xyz give one id: the later file fails, the rest is written."""
+    d = tmp_path / "clouds"
+    d.mkdir()
+    rng = np.random.default_rng(4)
+    clouds = [PointCloud(rng.normal(size=(40, 3))) for _ in range(3)]
+    save_point_cloud(clouds[0], d / "cow1.ply", PLY_BINARY_LE)
+    save_point_cloud(clouds[1], d / "cow1.xyz", XYZ_ASCII)
+    save_point_cloud(clouds[2], d / "cow2.xyz", XYZ_ASCII)
+    weights = tmp_path / "w.csv"
+    weights.write_text("animal_id,weight_kg\ncow1,500\ncow2,620\n")
+    out = tmp_path / "out"
+    assert main(["features", str(d), str(weights), "--out", str(out)]) == 1
+    rows = _read_csv(out / "dataset.csv")[1:]
+    assert [r[0] for r in rows] == ["cow1", "cow2"]
+    np.testing.assert_allclose([float(v) for v in rows[0][1:-1]],
+                               extract_feature_vector(clouds[0]).values, rtol=1e-5)  # float32 PLY
+    err = capsys.readouterr().err
+    assert err == f"error: {d / 'cow1.xyz'}: animal_id 'cow1' repeats {d / 'cow1.ply'}\n"
+
+
 def test_features_cube_fixture_matches_library(tmp_path):
     d = tmp_path / "clouds"
     d.mkdir()
@@ -250,7 +272,8 @@ def test_cv_ranking_equals_direct_ranking(herd_csv, small_config, tmp_path):
     assert main(["cv", str(herd_csv), "--config", str(small_config), "--out", str(out)]) == 0
     X, y = load_dataset_csv(herd_csv).matrices()
     specs = load_config(small_config).specs
-    _write_ranking_csv(stacking.rank_base_models(X, y, specs, k=3, seed=0), tmp_path / "direct.csv")
+    direct = stacking.inner_pass(X, y, specs, kfold_split(len(y), 3, 0)).ranking
+    _write_ranking_csv(direct, tmp_path / "direct.csv")
     assert (out / "ranking.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
@@ -379,6 +402,17 @@ def test_unreadable_csv_is_data_error(herd_csv, small_config, tmp_path, capsys, 
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}") and message in err
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+def test_repeated_animal_id_is_data_error(herd_csv, small_config, tmp_path, capsys, command):
+    lines = herd_csv.read_text().splitlines()
+    dup = tmp_path / "dup.csv"
+    dup.write_text("\n".join([*lines, lines[3]]) + "\n")
+    assert main([command, str(dup), "--config", str(small_config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    animal_id = lines[3].split(",")[0]
+    assert err == f"error: {dup}:{len(lines) + 1}: animal_id {animal_id!r} repeats line 4\n"
 
 
 def test_fuse_sim_zero_noise(tmp_path):

@@ -15,9 +15,9 @@ from herdweight.stacking import (
     ensemble_to_dict,
     fit_combiner,
     fit_stack,
+    inner_pass,
     oof_predictions,
     predict_stack,
-    rank_base_models,
     ridge_combiner,
 )
 
@@ -35,7 +35,7 @@ OLS = ModelSpec(name="ols", family="ols")
 def test_rank_perfect_model_first():
     X, y = _linear_herd()
     mean_spec = ModelSpec(name="mean", family="knn", params={"k": len(y)})
-    ranking = rank_base_models(X, y, [mean_spec, OLS], k=5, seed=0)
+    ranking = inner_pass(X, y, [mean_spec, OLS], kfold_split(len(y), 5, 0)).ranking
     assert ranking.entries[0].name == "ols"
     assert ranking.entries[0].mape < 1e-6
     assert ranking.entries[1].mape > 1.0
@@ -43,17 +43,17 @@ def test_rank_perfect_model_first():
 
 def test_rank_single_spec():
     X, y = _linear_herd(n=12)
-    ranking = rank_base_models(X, y, [OLS], k=3, seed=1)
-    assert len(ranking) == 1 and ranking.top(1) == ("ols",)
+    ranking = inner_pass(X, y, [OLS], kfold_split(len(y), 3, 1)).ranking
+    assert [e.name for e in ranking.entries] == ["ols"]
 
 
 def test_rank_tie_broken_by_declaration_order():
     X, y = _linear_herd(n=15)
     a = ModelSpec(name="first", family="ols")
     b = ModelSpec(name="second", family="ols")
-    ranking = rank_base_models(X, y, [a, b], k=3, seed=2)
+    ranking = inner_pass(X, y, [a, b], kfold_split(len(y), 3, 2)).ranking
     assert ranking.entries[0].mape == ranking.entries[1].mape
-    assert ranking.top(2) == ("first", "second")
+    assert [e.name for e in ranking.entries] == ["first", "second"]
 
 
 def test_rank_invariant_under_relabeling():
@@ -62,8 +62,8 @@ def test_rank_invariant_under_relabeling():
              ModelSpec(name="tree", family="decision_tree")]
     renamed = [ModelSpec(name=f"model_{i}", family=s.family, params=s.params, seed=s.seed)
                for i, s in enumerate(specs)]
-    base = rank_base_models(X, y, specs, k=4, seed=3)
-    relabeled = rank_base_models(X, y, renamed, k=4, seed=3)
+    base = inner_pass(X, y, specs, kfold_split(len(y), 4, 3)).ranking
+    relabeled = inner_pass(X, y, renamed, kfold_split(len(y), 4, 3)).ranking
     name_of = {s.name: f"model_{i}" for i, s in enumerate(specs)}
     assert [name_of[e.name] for e in base.entries] == [e.name for e in relabeled.entries]
     assert [e.mape for e in base.entries] == [e.mape for e in relabeled.entries]
@@ -77,8 +77,8 @@ def test_rank_is_deterministic():
              ModelSpec(name="knn", family="knn"),
              ModelSpec(name="tree", family="decision_tree"),
              ModelSpec(name="rf", family="random_forest", params={"n_trees": 25})]
-    r1 = rank_base_models(X, y, specs, k=4, seed=3)
-    r2 = rank_base_models(X, y, specs, k=4, seed=3)
+    r1 = inner_pass(X, y, specs, kfold_split(len(y), 4, 3)).ranking
+    r2 = inner_pass(X, y, specs, kfold_split(len(y), 4, 3)).ranking
     assert r1.entries == r2.entries
 
 
@@ -86,7 +86,7 @@ def test_rank_tags_fit_errors_with_model_name():
     X, y = _linear_herd(n=12)
     broken = ModelSpec(name="broken_knn", family="knn", params={"k": 0})
     with pytest.raises(InvalidHyperparameter, match="broken_knn"):
-        rank_base_models(X, y, [broken], k=3, seed=0)
+        inner_pass(X, y, [broken], kfold_split(len(y), 3, 0))
 
 
 def test_meta_features_leave_one_out_knn_hand_case():
@@ -187,6 +187,19 @@ def test_size_rule_never_cuts_a_ranking_tie():
     assert choose_stack_size(tied, y, folds, [0.1, 0.1, 0.1], 1.0) == 3
 
 
+def test_fit_combiner_ignores_memory_layout():
+    """C- and F-ordered copies of one meta matrix give the same bits; fed
+    as given, the F copy moves the last bits of the weights on this input."""
+    rng = np.random.default_rng(0)
+    y = rng.uniform(200.0, 600.0, 52)
+    meta = y[:, None] * (1.0 + 0.01 * rng.normal(size=(52, 5))) + rng.normal(0.0, 5.0, (52, 5))
+    folds = kfold_split(len(y), 5, seed=0)
+    rank_mapes = [0.6, 0.9, 1.2, 1.5, 1.8]
+    w_c, b_c = fit_combiner(np.ascontiguousarray(meta), y, folds, rank_mapes, 1.0)
+    w_f, b_f = fit_combiner(np.asfortranarray(meta), y, folds, rank_mapes, 1.0)
+    assert w_c.tobytes() == w_f.tobytes() and b_c == b_f
+
+
 def test_size_rule_needs_positive_targets():
     meta, y = _near_perfect_and_noise(n_noise=1)
     folds = kfold_split(len(y), 5, seed=1)
@@ -198,15 +211,15 @@ def test_identical_base_models_share_weight():
     X, y = _linear_herd(n=20, noise=1.0)
     a = ModelSpec(name="a", family="ols")
     b = ModelSpec(name="b", family="ols")
-    ranking = rank_base_models(X, y, [a, b], k=4, seed=8)
-    ens = fit_stack(X, y, [a, b], ranking, m_top=2, k=4, seed=8)
+    inner = inner_pass(X, y, [a, b], kfold_split(len(y), 4, 8))
+    ens = fit_stack(X, y, [a, b], inner, m_top=2)
     assert ens.weights[0] == pytest.approx(ens.weights[1], abs=1e-9)
 
 
 def test_predict_stack_identity_and_average():
     X, y = _linear_herd(n=10)
     model = fit(OLS, X, y)
-    ranking = rank_base_models(X, y, [OLS], k=5, seed=0)
+    ranking = inner_pass(X, y, [OLS], kfold_split(len(y), 5, 0)).ranking
     ens = StackedEnsemble(specs=[OLS], models=[model], weights=np.array([1.0]),
                           intercept=0.0, alpha=1.0, ranking=ranking)
     np.testing.assert_array_equal(predict_stack(ens, X), model.predict(X))
@@ -223,9 +236,9 @@ def test_fit_stack_keeps_only_the_members_the_combiner_uses():
     X, y = _linear_herd(n=30, noise=1.0)
     specs = [OLS, ModelSpec(name="mean", family="knn", params={"k": 30}),
              ModelSpec(name="knn", family="knn")]
-    ranking = rank_base_models(X, y, specs, k=5, seed=3)
-    assert ranking.entries[0].name == "ols"
-    ens = fit_stack(X, y, specs, ranking, m_top=3, k=5, seed=3)
+    inner = inner_pass(X, y, specs, kfold_split(len(y), 5, 3))
+    assert inner.ranking.entries[0].name == "ols"
+    ens = fit_stack(X, y, specs, inner, m_top=3)
     assert len(ens.weights) == 1
     assert [s.name for s in ens.specs] == ["ols"] and len(ens.models) == 1
 
@@ -233,8 +246,8 @@ def test_fit_stack_keeps_only_the_members_the_combiner_uses():
 def test_stack_output_is_affine_in_base_outputs():
     X, y = _linear_herd(n=24, noise=2.0)
     specs = [OLS, ModelSpec(name="knn", family="knn"), ModelSpec(name="tree", family="decision_tree")]
-    ranking = rank_base_models(X, y, specs, k=4, seed=9)
-    ens = fit_stack(X, y, specs, ranking, m_top=3, k=4, seed=9)
+    inner = inner_pass(X, y, specs, kfold_split(len(y), 4, 9))
+    ens = fit_stack(X, y, specs, inner, m_top=3)
     base = np.column_stack([m.predict(X) for m in ens.models])
     np.testing.assert_array_equal(predict_stack(ens, X), base @ ens.weights + ens.intercept)
 
@@ -243,24 +256,12 @@ def test_stack_close_to_perfect_base():
     """m_top = 1 with a near-perfect base: shrinkage costs < 0.01 pp MAPE."""
     X, y = _linear_herd(n=40, seed=3)
     X_test, y_test = _linear_herd(n=20, seed=4)
-    ranking = rank_base_models(X, y, [OLS], k=5, seed=10)
-    ens = fit_stack(X, y, [OLS], ranking, m_top=1, k=5, seed=10)
+    inner = inner_pass(X, y, [OLS], kfold_split(len(y), 5, 10))
+    ens = fit_stack(X, y, [OLS], inner, m_top=1)
     base = fit(OLS, X, y)
     stack_mape = 100 * np.mean(np.abs(predict_stack(ens, X_test) - y_test) / y_test)
     base_mape = 100 * np.mean(np.abs(base.predict(X_test) - y_test) / y_test)
     assert stack_mape <= base_mape + 0.01
-
-
-def test_fit_stack_reuses_precomputed_oof_columns():
-    X, y = _linear_herd(n=20, noise=1.0)
-    specs = [ModelSpec(name="knn", family="knn"), OLS]
-    folds = kfold_split(20, 4, seed=11)
-    oof = oof_predictions(X, y, specs, folds)
-    ranking = rank_base_models(X, y, specs, folds=folds, oof=oof)
-    a = fit_stack(X, y, specs, ranking, m_top=2, folds=folds, oof=oof)
-    b = fit_stack(X, y, specs, ranking, m_top=2, folds=folds)
-    np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12)
-    assert a.intercept == pytest.approx(b.intercept, rel=1e-12)
 
 
 def test_ensemble_serialisation_roundtrip():
@@ -268,8 +269,8 @@ def test_ensemble_serialisation_roundtrip():
     # the tied pair keeps the size rule from stopping at one member
     specs = [OLS, ModelSpec(name="ols2", family="ols"), ModelSpec(name="knn", family="knn"),
              ModelSpec(name="gb", family="gradient_boosting", params={"n_rounds": 15})]
-    ranking = rank_base_models(X, y, specs, k=5, seed=12)
-    ens = fit_stack(X, y, specs, ranking, m_top=4, k=5, seed=12)
+    inner = inner_pass(X, y, specs, kfold_split(len(y), 5, 12))
+    ens = fit_stack(X, y, specs, inner, m_top=4)
     assert len(ens.models) == 2
     clone = ensemble_from_dict(ensemble_to_dict(ens))
     grid = np.random.default_rng(5).uniform(0.5, 2.0, size=(9, 2))
@@ -287,7 +288,7 @@ def test_model_file_with_zero_weight_members_predicts_over_all_columns():
     X, y = _linear_herd(n=25, noise=1.5)
     specs = [OLS, ModelSpec(name="knn", family="knn"),
              ModelSpec(name="gb", family="gradient_boosting", params={"n_rounds": 15})]
-    ranking = rank_base_models(X, y, specs, k=5, seed=12)
+    ranking = inner_pass(X, y, specs, kfold_split(len(y), 5, 12)).ranking
     models = [fit(spec, X, y) for spec in specs]
     padded = StackedEnsemble(specs=specs, models=models, weights=np.array([0.9987, 0.0, 0.0]),
                              intercept=0.41, alpha=1.0, ranking=ranking)
@@ -300,6 +301,6 @@ def test_model_file_with_zero_weight_members_predicts_over_all_columns():
 
 def test_fit_stack_m_top_bounds():
     X, y = _linear_herd(n=12)
-    ranking = rank_base_models(X, y, [OLS], k=3, seed=0)
+    inner = inner_pass(X, y, [OLS], kfold_split(len(y), 3, 0))
     with pytest.raises(ValueError):
-        fit_stack(X, y, [OLS], ranking, m_top=2, k=3, seed=0)
+        fit_stack(X, y, [OLS], inner, m_top=2)
