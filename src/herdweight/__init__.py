@@ -16,7 +16,6 @@ from .evaluation import (
     MetricReport,
     compute_metrics,
     cross_validate,
-    cross_validate_model,
     ensemble_size_sweep,
     kfold_split,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "PlaneModel", "RansacParams", "fit_plane_ransac", "remove_planes", "segment_planes",
     "HerdDataset", "load_dataset_csv", "save_dataset_csv",
     "FoldAssignment", "MetricReport", "compute_metrics", "cross_validate",
-    "cross_validate_model", "ensemble_size_sweep", "kfold_split",
+    "ensemble_size_sweep", "kfold_split",
     "FEATURE_NAMES", "FEATURE_SCHEMA_VERSION", "FeatureVector", "HullSummary", "ShapeEigen",
     "axis_percentiles", "convex_hull", "extract_feature_vector", "moments",
     "oriented_extents", "pca_shape", "z_section_densities",

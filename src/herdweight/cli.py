@@ -14,6 +14,7 @@ import csv
 import glob
 import json
 import sys
+from dataclasses import astuple, fields
 from functools import partial
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .dataset import (
     save_dataset_csv,
 )
 from .errors import ConfigError, HerdWeightError, MissingWeight, ParseError
-from .evaluation import kfold_split, nested_cv
+from .evaluation import SweepRow, kfold_split, nested_cv
 from .features import extract_feature_vector
 from .files import open_fresh
 from .fusion import simulate_trajectory
@@ -70,9 +71,23 @@ def _float_repr(x: float) -> str:
     return repr(float(x))
 
 
+def _config(args):
+    """The config file with every flag given on the command line applied;
+    a flag that overrides a config value has that value's dotted key as
+    its dest."""
+    return load_config(args.config, {k: v for k, v in vars(args).items() if "." in k})
+
+
 def _write_json(payload: dict, path: Path) -> None:
     with open_fresh(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open_fresh(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _run_each(worker, tasks: list, jobs: int) -> list:
@@ -107,14 +122,7 @@ def _clean_one(task: tuple) -> tuple:
 
 
 def cmd_clean(args) -> int:
-    config = load_config(args.config, {
-        "cleaning.inlier_threshold": args.threshold,
-        "cleaning.threshold_is_relative": (False if args.absolute else None),
-        "cleaning.max_iterations": args.max_iterations,
-        "cleaning.min_plane_fraction": args.min_plane_fraction,
-        "cleaning.max_planes": args.max_planes,
-        "cleaning.seed": args.seed,
-    })
+    config = _config(args)
     files = _gather_inputs(args.input)
     if not files:
         print(f"error: no input files match {args.input!r}", file=sys.stderr)
@@ -128,10 +136,8 @@ def cmd_clean(args) -> int:
     rows = [r for r in results if not isinstance(r, Exception)]
     failures = [(f, r) for f, r in zip(files, results) if isinstance(r, Exception)]
 
-    with open_fresh(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["animal_id", "points_before", "points_after", "planes_removed"])
-        writer.writerows(rows)
+    header = ["animal_id", "points_before", "points_after", "planes_removed"]
+    _write_csv(out / "summary.csv", header, rows)
     write_resolved_config(config, out)
     for f, exc in failures:
         print(f"error: {f}: {exc}", file=sys.stderr)
@@ -145,17 +151,13 @@ def _features_one(path_str: str) -> tuple[str, list]:
 
 
 def cmd_features(args) -> int:
-    config = load_config(args.config, {})
+    config = _config(args)
     files = _gather_inputs(args.input)
     if not files:
         print(f"error: no input files match {args.input!r}", file=sys.stderr)
         return 2
     out = _prepare_out(args)
-    try:
-        weights = load_weights_csv(args.weights)
-    except (HerdWeightError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    weights = load_weights_csv(args.weights)
 
     first_of, rows, kg = {}, [], []   # first_of: id -> the file that gave its row
     failures = []
@@ -177,6 +179,8 @@ def cmd_features(args) -> int:
     if rows:
         dataset = HerdDataset(ids=list(first_of), features=np.vstack(rows), weights=np.asarray(kg))
         save_dataset_csv(dataset, out / "dataset.csv")
+    else:
+        (out / "dataset.csv").unlink(missing_ok=True)
     write_resolved_config(config, out)
     for f, exc in failures:
         print(f"error: {f}: {exc}", file=sys.stderr)
@@ -194,31 +198,14 @@ def _parse_sweep(text: str, n_specs: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _write_sweep_csv(rows, path: Path) -> None:
-    with open_fresh(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "r2_mean", "r2_std", "mae_mean", "mae_std", "mape_mean", "mape_std"])
-        for r in rows:
-            writer.writerow([r.m, *(_float_repr(v) for v in
-                             (r.r2_mean, r.r2_std, r.mae_mean, r.mae_std, r.mape_mean, r.mape_std))])
-
-
 def _write_ranking_csv(ranking, path: Path) -> None:
-    with open_fresh(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "model", "r2", "mae_kg", "mape_pct"])
-        for i, e in enumerate(ranking.entries, start=1):
-            writer.writerow([i, e.name, _float_repr(e.r2), _float_repr(e.mae), _float_repr(e.mape)])
+    _write_csv(path, ["rank", "model", "r2", "mae_kg", "mape_pct"],
+               ([i, e.name, _float_repr(e.r2), _float_repr(e.mae), _float_repr(e.mape)]
+                for i, e in enumerate(ranking.entries, start=1)))
 
 
 def cmd_cv(args) -> int:
-    config = load_config(args.config, {
-        "evaluation.k": args.k,
-        "evaluation.inner_k": args.inner_k,
-        "evaluation.seed": args.seed,
-        "stacking.m_top": args.m_top,
-        "stacking.alpha": args.alpha,
-    })
+    config = _config(args)
     m_values = _parse_sweep(args.sweep, len(config.specs)) if args.sweep else []
     dataset = load_dataset_csv(args.dataset)
     X, y = dataset.matrices()
@@ -241,7 +228,11 @@ def cmd_cv(args) -> int:
     _write_json(report, out / "report.json")
     _write_ranking_csv(cv.ranking(), out / "ranking.csv")
     if m_values:
-        _write_sweep_csv(cv.sweep(m_values, config.alpha), out / "sweep.csv")
+        sweep = cv.sweep(m_values, config.alpha)
+        _write_csv(out / "sweep.csv", [f.name for f in fields(SweepRow)],
+                   ([r.m, *map(_float_repr, astuple(r)[1:])] for r in sweep))
+    else:
+        (out / "sweep.csv").unlink(missing_ok=True)
     write_resolved_config(config, out)
     if audit is not None and not audit.ok:
         for v in audit.violations:
@@ -251,12 +242,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, {
-        "evaluation.inner_k": args.inner_k,
-        "evaluation.seed": args.seed,
-        "stacking.m_top": args.m_top,
-        "stacking.alpha": args.alpha,
-    })
+    config = _config(args)
     dataset = load_dataset_csv(args.dataset)
     X, y = dataset.matrices()
     out = _prepare_out(args)
@@ -281,28 +267,19 @@ def _load_model(path: str) -> StackedEnsemble:
 
 
 def cmd_predict(args) -> int:
-    config = load_config(args.config, {})
+    config = _config(args)
     ensemble = _load_model(args.model)
     ids, X = load_features_csv(args.features)
     out = _prepare_out(args)
     preds = predict_stack(ensemble, X)
-    with open_fresh(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["animal_id", "predicted_weight_kg"])
-        for animal_id, p in zip(ids, preds):
-            writer.writerow([animal_id, _float_repr(p)])
+    _write_csv(out / "predictions.csv", ["animal_id", "predicted_weight_kg"],
+               ([animal_id, _float_repr(p)] for animal_id, p in zip(ids, preds)))
     write_resolved_config(config, out)
     return 0
 
 
 def cmd_fuse_sim(args) -> int:
-    config = load_config(args.config, {
-        "simulation.views": args.views,
-        "simulation.steps": args.steps,
-        "simulation.seed": args.seed,
-        "fusion.beta": args.beta,
-        "fusion.epsilon": args.epsilon,
-    })
+    config = _config(args)
     out = _prepare_out(args)
     trace = simulate_trajectory(config.simulation)
     trace.write_csv(out / "trace.csv")
@@ -315,6 +292,13 @@ def _add_config_out(parser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+def _add_settings(parser, *settings) -> None:
+    """One flag per (flag, dotted config key, type) that overrides that
+    config value; --help shows the key as the flag's metavar."""
+    for flag, key, kind in settings:
+        parser.add_argument(flag, dest=key, metavar=key, type=kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="herdweight",
@@ -325,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clean", help="strip planar background from scans")
     p.add_argument("input", help="directory or glob of point cloud files")
     _add_config_out(p)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--absolute", action="store_true", help="threshold in metres, not relative")
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--min-plane-fraction", type=float, default=None)
-    p.add_argument("--max-planes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_settings(p, ("--threshold", "cleaning.inlier_threshold", float))
+    p.add_argument("--absolute", dest="cleaning.threshold_is_relative", action="store_const",
+                   const=False, help="threshold in metres, not relative")
+    _add_settings(p, ("--max-iterations", "cleaning.max_iterations", int),
+                  ("--min-plane-fraction", "cleaning.min_plane_fraction", float),
+                  ("--max-planes", "cleaning.max_planes", int), ("--seed", "cleaning.seed", int))
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_clean)
 
@@ -341,29 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_features)
 
-    for name, sweep_default in (("cv", None), ("sweep", "2..11")):
-        p = sub.add_parser(name, help="cross-validated evaluation" if name == "cv"
-                           else "cv with an ensemble-size sweep")
+    for name, help_text, func in (("cv", "cross-validated evaluation", cmd_cv),
+                                  ("sweep", "cv with an ensemble-size sweep", cmd_cv),
+                                  ("train", "fit and serialise a stacked ensemble", cmd_train)):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("dataset", help="dataset CSV from the features command")
         _add_config_out(p)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--inner-k", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--m-top", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--sweep", default=sweep_default, help="ensemble sizes LO..HI")
-        p.add_argument("--audit", action="store_true", help="run the leakage audit")
-        p.add_argument("--jobs", type=int, default=1)
-        p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("train", help="fit and serialise a stacked ensemble")
-    p.add_argument("dataset")
-    _add_config_out(p)
-    p.add_argument("--inner-k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--m-top", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.set_defaults(func=cmd_train)
+        if name != "train":
+            _add_settings(p, ("--k", "evaluation.k", int))
+        _add_settings(p, ("--inner-k", "evaluation.inner_k", int),
+                      ("--seed", "evaluation.seed", int), ("--m-top", "stacking.m_top", int),
+                      ("--alpha", "stacking.alpha", float))
+        if name != "train":
+            p.add_argument("--sweep", default="2..11" if name == "sweep" else None,
+                           help="ensemble sizes LO..HI")
+            p.add_argument("--audit", action="store_true", help="run the leakage audit")
+            p.add_argument("--jobs", type=int, default=1)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("predict", help="predict weights with a trained model")
     p.add_argument("model", help="model.json from the train command")
@@ -373,11 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse-sim", help="run the fusion trajectory simulator")
     _add_config_out(p)
-    p.add_argument("--views", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    _add_settings(p, ("--views", "simulation.views", int), ("--steps", "simulation.steps", int),
+                  ("--seed", "simulation.seed", int), ("--beta", "fusion.beta", float),
+                  ("--epsilon", "fusion.epsilon", float))
     p.set_defaults(func=cmd_fuse_sim)
     return parser
 

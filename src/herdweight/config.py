@@ -32,18 +32,19 @@ from .regressors import (
     spec_to_dict,
     validate_spec,
 )
+from .stacking import DEFAULT_RIDGE_ALPHA
 
 DEFAULT_M_TOP = 11
 
-_TOP_KEYS = {"tool_version", "cleaning", "models", "stacking", "evaluation", "fusion", "simulation"}
-_CLEANING_KEYS = {f.name for f in fields(RansacParams)}
-_MODELS_KEYS = {"specs", "seed"}
-_STACKING_KEYS = {"m_top", "alpha"}
-_EVALUATION_KEYS = {"k", "inner_k", "seed"}
-_FUSION_KEYS = {f.name for f in fields(FusionParams)}
-_SIMULATION_KEYS = {"views", "locations", "channels", "steps", "seed", "contraction",
-                    "schedule", "view_bias", "target_scale"}
-_SCHEDULE_KEYS = {"kind", "sigma0", "decay", "values"}
+# Section name -> the keys it allows.
+_SECTIONS = {
+    "cleaning": {f.name for f in fields(RansacParams)},
+    "models": {"specs", "seed"},
+    "stacking": {"m_top", "alpha"},
+    "evaluation": {"k", "inner_k", "seed"},
+    "fusion": {f.name for f in fields(FusionParams)},
+    "simulation": {f.name for f in fields(SimulationConfig)} - {"params"},
+}
 
 
 def _check_keys(section: dict, allowed: set, path: str) -> None:
@@ -77,11 +78,9 @@ class PipelineConfig:
             "evaluation": {"k": self.k, "inner_k": self.inner_k, "seed": self.seed},
             "fusion": asdict(self.fusion),
             "simulation": {
-                "views": sim.views, "locations": sim.locations, "channels": sim.channels,
-                "steps": sim.steps, "seed": sim.seed, "contraction": sim.contraction,
+                **{name: getattr(sim, name) for name in _SECTIONS["simulation"]},
                 "schedule": {"kind": "explicit", "values": [float(s) for s in sim.schedule]},
                 "view_bias": None if sim.view_bias is None else [float(b) for b in sim.view_bias],
-                "target_scale": sim.target_scale,
             },
         }
 
@@ -122,7 +121,7 @@ def _build_specs(models_section: dict) -> list[ModelSpec]:
 
 
 def _build_schedule(section: dict, steps: int) -> np.ndarray:
-    _check_keys(section, _SCHEDULE_KEYS, "simulation.schedule")
+    _check_keys(section, {"kind", "sigma0", "decay", "values"}, "simulation.schedule")
     kind = section.get("kind", "geometric")
     try:
         if kind == "geometric":
@@ -140,68 +139,48 @@ def _build_schedule(section: dict, steps: int) -> np.ndarray:
     raise ConfigError(f"simulation.schedule.kind must be geometric/constant/explicit, got {kind!r}")
 
 
+def _build(cls, name: str, section: dict, **extra):
+    """``cls(**section, **extra)``, any error a ConfigError naming the section."""
+    try:
+        return cls(**section, **extra)
+    except Exception as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def build_config(raw: dict) -> PipelineConfig:
     """Validate a raw JSON object and resolve every default."""
-    _check_keys(raw, _TOP_KEYS, "config")
-    cleaning_raw = raw.get("cleaning", {})
-    _check_keys(cleaning_raw, _CLEANING_KEYS, "cleaning")
-    models_raw = raw.get("models", {})
-    _check_keys(models_raw, _MODELS_KEYS, "models")
-    stacking_raw = raw.get("stacking", {})
-    _check_keys(stacking_raw, _STACKING_KEYS, "stacking")
-    eval_raw = raw.get("evaluation", {})
-    _check_keys(eval_raw, _EVALUATION_KEYS, "evaluation")
-    fusion_raw = raw.get("fusion", {})
-    _check_keys(fusion_raw, _FUSION_KEYS, "fusion")
-    sim_raw = raw.get("simulation", {})
-    _check_keys(sim_raw, _SIMULATION_KEYS, "simulation")
+    _check_keys(raw, {"tool_version", *_SECTIONS}, "config")
+    sections = {name: raw.get(name, {}) for name in _SECTIONS}
+    for name, section in sections.items():
+        _check_keys(section, _SECTIONS[name], name)
 
-    try:
-        cleaning = RansacParams(**cleaning_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cleaning: {exc}") from exc
+    cleaning = _build(RansacParams, "cleaning", sections["cleaning"])
+    specs = _build_specs(sections["models"])
 
-    specs = _build_specs(models_raw)
-
-    m_top = stacking_raw.get("m_top")
+    stacking = sections["stacking"]
+    m_top = stacking.get("m_top")
     if m_top is None:
         m_top = min(DEFAULT_M_TOP, len(specs))
     check_number("stacking.m_top", m_top, low=1, integer=True, error=ConfigError)
     if m_top > len(specs):
         raise ConfigError(f"stacking.m_top must be at most {len(specs)}, got {m_top!r}")
-    alpha = stacking_raw.get("alpha", 1.0)
+    alpha = stacking.get("alpha", DEFAULT_RIDGE_ALPHA)
     check_number("stacking.alpha", alpha, low=0, error=ConfigError)
 
-    k = eval_raw.get("k", 5)
-    inner_k = eval_raw.get("inner_k", 5)
-    seed = eval_raw.get("seed", 0)
+    evaluation = sections["evaluation"]
+    k = evaluation.get("k", 5)
+    inner_k = evaluation.get("inner_k", 5)
+    seed = evaluation.get("seed", 0)
     check_number("evaluation.k", k, low=2, integer=True, error=ConfigError)
     check_number("evaluation.inner_k", inner_k, low=2, integer=True, error=ConfigError)
     check_number("evaluation.seed", seed, low=0, integer=True, error=ConfigError)
 
-    try:
-        fusion = FusionParams(**fusion_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fusion: {exc}") from exc
-
-    steps = sim_raw.get("steps", 60)
+    fusion = _build(FusionParams, "fusion", sections["fusion"])
+    sim = dict(sections["simulation"])
+    steps = sim.get("steps", SimulationConfig.steps)
     check_number("simulation.steps", steps, low=1, integer=True, error=ConfigError)
-    schedule = _build_schedule(sim_raw.get("schedule", {}), steps)
-    try:
-        simulation = SimulationConfig(
-            views=sim_raw.get("views", 3),
-            locations=sim_raw.get("locations", 64),
-            channels=sim_raw.get("channels", 8),
-            steps=steps,
-            schedule=schedule,
-            params=fusion,
-            seed=sim_raw.get("seed", 0),
-            contraction=sim_raw.get("contraction", 0.2),
-            view_bias=sim_raw.get("view_bias"),
-            target_scale=sim_raw.get("target_scale", 1.0),
-        )
-    except Exception as exc:
-        raise ConfigError(f"simulation: {exc}") from exc
+    sim["schedule"] = _build_schedule(sim.get("schedule", {}), steps)
+    simulation = _build(SimulationConfig, "simulation", sim, params=fusion)
 
     return PipelineConfig(cleaning=cleaning, specs=specs, m_top=m_top, alpha=float(alpha),
                           k=k, inner_k=inner_k, seed=seed, fusion=fusion, simulation=simulation)

@@ -37,7 +37,6 @@ __all__ = [
     "compute_metrics",
     "nested_cv",
     "cross_validate",
-    "cross_validate_model",
     "ensemble_size_sweep",
 ]
 
@@ -316,21 +315,6 @@ def cross_validate(X, y, specs, *, m_top=None, k: int = 5, inner_k: int = 5,
         m_top = len(specs)
     cv = nested_cv(X, y, specs, k=k, inner_k=inner_k, seed=seed, audit=audit, jobs=jobs)
     return CVResult(report=cv.metrics(m_top, alpha), audit=cv.audit() if audit else None)
-
-
-def cross_validate_model(X, y, spec, *, k: int = 5, seed: int = 0) -> MetricReport:
-    """Plain k-fold CV of a single base model (no stacking)."""
-    from .regressors import fit as fit_model
-
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    folds = kfold_split(len(y), k, seed)
-    triples = []
-    for f in range(k):
-        tr, te = folds.train_indices(f), folds.test_indices(f)
-        model = fit_model(spec, X[tr], y[tr])
-        triples.append(compute_metrics(y[te], model.predict(X[te])))
-    return report_from_triples(triples)
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,8 @@ def _validate_schedule(schedule: np.ndarray, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Surrogate trajectory: contraction toward a target plus view noise.
+    """Surrogate trajectory: contraction toward a random target (a standard
+    normal draw times ``target_scale``) plus view noise.
 
     Each step synthesises per-view updates as contraction * (target -
     state) plus a per-view bias and Gaussian noise of scale schedule[t],
@@ -182,7 +183,6 @@ class SimulationConfig:
     params: FusionParams = field(default_factory=FusionParams)
     seed: int = 0
     contraction: float = 0.2
-    target: np.ndarray | None = None
     view_bias: np.ndarray | None = None
     target_scale: float = 1.0
 
@@ -203,11 +203,6 @@ class SimulationConfig:
             if not np.isfinite(bias).all():
                 raise ValueError("view_bias must be finite")
             object.__setattr__(self, "view_bias", bias)
-        if self.target is not None:
-            tgt = np.asarray(self.target, dtype=np.float64)
-            if tgt.shape != (self.locations, self.channels):
-                raise ValueError(f"target must be (L, D) = ({self.locations}, {self.channels})")
-            object.__setattr__(self, "target", tgt)
 
 
 @dataclass(frozen=True)
@@ -260,9 +255,7 @@ def simulate_trajectory(config: SimulationConfig) -> TrajectoryTrace:
     noise = np.empty((views, locations, channels))
     # Overflow shows up as non-finite values, reported below with the step.
     with np.errstate(over="ignore", invalid="ignore"):
-        target = config.target
-        if target is None:
-            target = config.target_scale * rng.normal(size=(locations, channels))
+        target = config.target_scale * rng.normal(size=(locations, channels))
         for t in range(config.steps):
             clean = config.contraction * (target - state)
             # (clean + bias) + schedule * noise, built in the noise buffer

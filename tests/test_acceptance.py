@@ -203,7 +203,7 @@ def test_a4_synthetic_herd_benchmark(herd, herd_cv):
     assert report.mape.mean <= 3.0
 
     # the outer-fold ranking is plain 5-fold CV of each single model on the
-    # same folds, so its best MAPE is the best cross_validate_model MAPE
+    # same folds, so its best MAPE is the best single model's CV MAPE
     best_single = herd_cv[0].ranking().entries[0].mape
     assert report.mape.mean <= 1.1 * best_single, (
         f"stack {report.mape.mean:.4f}% vs 1.1 x best single {best_single:.4f}%")

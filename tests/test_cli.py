@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artefacts, determinism."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from herdweight import stacking
-from herdweight.cli import _write_ranking_csv, main
-from herdweight.config import load_config
+from herdweight.cli import _write_ranking_csv, build_parser, main
+from herdweight.config import _SECTIONS, build_config, load_config, write_resolved_config
 from herdweight.dataset import HerdDataset, load_dataset_csv, save_dataset_csv
 from herdweight.evaluation import kfold_split
 from herdweight.features import FEATURE_NAMES, extract_feature_vector
@@ -309,6 +310,30 @@ def test_rerun_replaces_outputs(scene_dir, herd_csv, small_config, tmp_path):
     assert elsewhere.read_text() == "keep\n"
 
 
+def test_rerun_removes_outputs_it_does_not_write(herd_csv, small_config, tmp_path):
+    """cv without --sweep removes an earlier sweep.csv, and features with no
+    usable scan an earlier dataset.csv, so no output describes another run."""
+    out = tmp_path / "cv"
+    cv = ["cv", str(herd_csv), "--config", str(small_config), "--out", str(out)]
+    assert main([*cv, "--sweep", "1..2"]) == 0
+    assert (out / "sweep.csv").exists()
+    assert main([*cv, "--seed", "7"]) == 0
+    assert not (out / "sweep.csv").exists()
+    assert json.loads((out / "config.resolved.json").read_text())["evaluation"]["seed"] == 7
+
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    save_point_cloud(PointCloud(CUBE), scans / "cube.xyz", XYZ_ASCII)
+    weights = tmp_path / "w.csv"
+    weights.write_text("animal_id,weight_kg\ncube,500\n")
+    feat = tmp_path / "feat"
+    assert main(["features", str(scans), str(weights), "--out", str(feat)]) == 0
+    assert (feat / "dataset.csv").exists()
+    weights.write_text("animal_id,weight_kg\nsomeone_else,500\n")
+    assert main(["features", str(scans), str(weights), "--out", str(feat)]) == 1
+    assert not (feat / "dataset.csv").exists()
+
+
 def test_cv_audit_flag(herd_csv, small_config, tmp_path):
     out = tmp_path / "audit"
     assert main(["cv", str(herd_csv), "--config", str(small_config),
@@ -508,6 +533,98 @@ def test_unknown_config_key_is_usage_error(herd_csv, tmp_path, capsys):
     cfg.write_text(json.dumps({"modelz": {}}))
     assert main(["cv", str(herd_csv), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+# Every flag that overrides a config value: (command, flag) -> (its dotted
+# config key, the argument given, the value config.resolved.json then holds).
+_STACK_FLAGS = {"--inner-k": ("evaluation.inner_k", "2", 2), "--seed": ("evaluation.seed", "4", 4),
+                "--m-top": ("stacking.m_top", "2", 2), "--alpha": ("stacking.alpha", "0.5", 0.5)}
+FLAG_SETTINGS = {
+    ("clean", "--threshold"): ("cleaning.inlier_threshold", "0.02", 0.02),
+    ("clean", "--absolute"): ("cleaning.threshold_is_relative", None, False),
+    ("clean", "--max-iterations"): ("cleaning.max_iterations", "300", 300),
+    ("clean", "--min-plane-fraction"): ("cleaning.min_plane_fraction", "0.3", 0.3),
+    ("clean", "--max-planes"): ("cleaning.max_planes", "2", 2),
+    ("clean", "--seed"): ("cleaning.seed", "4", 4),
+    **{(command, flag): setting for command in ("cv", "sweep")
+       for flag, setting in {"--k": ("evaluation.k", "4", 4), **_STACK_FLAGS}.items()},
+    **{("train", flag): setting for flag, setting in _STACK_FLAGS.items()},
+    ("fuse-sim", "--views"): ("simulation.views", "2", 2),
+    ("fuse-sim", "--steps"): ("simulation.steps", "4", 4),
+    ("fuse-sim", "--seed"): ("simulation.seed", "3", 3),
+    ("fuse-sim", "--beta"): ("fusion.beta", "2.0", 2.0),
+    ("fuse-sim", "--epsilon"): ("fusion.epsilon", "1e-06", 1e-06),
+}
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+SETTING_ACTIONS = [(command, action) for command, parser in _SUBCOMMANDS.items()
+                   for action in parser._actions if "." in action.dest]
+
+
+@pytest.mark.parametrize("command, action", SETTING_ACTIONS,
+                         ids=[f"{c}{a.option_strings[0]}" for c, a in SETTING_ACTIONS])
+def test_flag_sets_its_config_key(request, tmp_path, command, action):
+    flag, = action.option_strings
+    key, arg, expected = FLAG_SETTINGS[command, flag]
+    assert action.dest == key
+    section, name = key.split(".")
+    assert name in _SECTIONS[section]
+
+    config = None
+    if command == "clean":
+        argv = ["clean", str(request.getfixturevalue("scene_dir"))]
+    elif command == "fuse-sim":
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"simulation": {"locations": 4, "channels": 2, "steps": 3}}))
+        argv = ["fuse-sim"]
+    else:
+        config = request.getfixturevalue("small_config")
+        argv = [command, str(request.getfixturevalue("herd_csv"))]
+        argv += ["--sweep", "2..3"] if command == "sweep" else []
+    assert load_config(config).resolved_dict()[section][name] != expected
+    if config is not None:
+        argv += ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main([*argv, flag, *([arg] if arg else []), "--out", str(out)]) == 0
+    assert json.loads((out / "config.resolved.json").read_text())[section][name] == expected
+
+
+def test_flag_table_and_help():
+    """The flag-to-key map above is the parser's whole, and every
+    subcommand's --help exits 0."""
+    assert {(c, a.option_strings[0]) for c, a in SETTING_ACTIONS} == set(FLAG_SETTINGS)
+    for command in _SUBCOMMANDS:
+        assert main([command, "--help"]) == 0
+
+
+def test_resolved_config_is_a_fixed_point(tmp_path):
+    """A config that sets every key of every section to a value other than
+    its default reloads from config.resolved.json to the same settings."""
+    raw = {
+        "cleaning": {"inlier_threshold": 0.02, "threshold_is_relative": False,
+                     "max_iterations": 300, "min_plane_fraction": 0.3, "max_planes": 2, "seed": 4},
+        "models": {"specs": ["ols", "gbA", {"name": "shallow", "family": "decision_tree",
+                                            "params": {"max_depth": 2}, "seed": 9}],
+                   "seed": 3},
+        "stacking": {"m_top": 2, "alpha": 0.5},
+        "evaluation": {"k": 3, "inner_k": 4, "seed": 6},
+        "fusion": {"beta": 2.0, "epsilon": 1e-06, "center": "median"},
+        "simulation": {"views": 2, "locations": 5, "channels": 3, "steps": 4, "seed": 2,
+                       "contraction": 0.5, "schedule": {"kind": "constant", "sigma0": 0.3},
+                       "view_bias": [0.1, -0.1], "target_scale": 2.0},
+    }
+    assert {section: set(keys) for section, keys in raw.items()} == _SECTIONS
+    config = build_config(raw)
+    resolved, default = config.resolved_dict(), build_config({}).resolved_dict()
+    for section in raw:
+        for key, value in resolved[section].items():
+            assert value != default[section][key], f"{section}.{key}"
+
+    first = write_resolved_config(config, tmp_path)
+    reloaded = load_config(first)
+    assert reloaded.resolved_dict() == resolved
+    (tmp_path / "again").mkdir()
+    assert write_resolved_config(reloaded, tmp_path / "again").read_bytes() == first.read_bytes()
 
 
 def test_resolved_config_reloads(herd_csv, small_config, tmp_path):

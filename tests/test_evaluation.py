@@ -14,11 +14,12 @@ from herdweight.errors import (
 from herdweight.evaluation import (
     compute_metrics,
     cross_validate,
-    cross_validate_model,
     ensemble_size_sweep,
     kfold_split,
+    report_from_triples,
 )
 from herdweight.regressors import ModelSpec
+from herdweight.stacking import inner_pass
 
 
 def test_kfold_sizes_103_by_5():
@@ -118,7 +119,11 @@ def test_cross_validate_constant_pipeline_r2_nonpositive():
 
 def test_report_std_is_population():
     X, y = _herd(n=24, noise=4.0)
-    report = cross_validate_model(X, y, ModelSpec(name="ols", family="ols"), k=4, seed=2)
+    folds = kfold_split(len(y), 4, seed=2)
+    inner = inner_pass(X, y, [ModelSpec(name="ols", family="ols")], folds)
+    report = report_from_triples([compute_metrics(y[te], inner.oof[te, 0])
+                                  for te in map(folds.test_indices, range(folds.k))])
+    assert inner.ranking.entries[0].mape == pytest.approx(report.mape.mean, rel=1e-12)
     vals = np.array(report.mape.per_fold)
     assert report.mape.std == pytest.approx(float(vals.std(ddof=0)), rel=1e-12)
     assert report.mape.mean == pytest.approx(float(vals.mean()), rel=1e-12)
@@ -194,8 +199,8 @@ def test_sweep_m1_tracks_best_single_model():
     X, y = _herd(n=40, seed=7, noise=0.1)
     specs = [ModelSpec(name="ols", family="ols"), ModelSpec(name="knn", family="knn")]
     rows = ensemble_size_sweep(X, y, specs, [1], k=4, inner_k=3, seed=7)
-    best_single = cross_validate_model(X, y, specs[0], k=4, seed=7)
-    assert rows[0].mape_mean <= best_single.mape.mean + 0.01
+    best_single = inner_pass(X, y, specs, kfold_split(len(y), 4, seed=7)).ranking.entries[0]
+    assert rows[0].mape_mean <= best_single.mape + 0.01
 
 
 def test_sweep_rejects_out_of_range_sizes():
