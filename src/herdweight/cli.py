@@ -13,6 +13,7 @@ import argparse
 import csv
 import glob
 import json
+import os
 import sys
 from dataclasses import astuple, fields
 from functools import partial
@@ -93,7 +94,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 def _run_each(worker, tasks: list, jobs: int) -> list:
     """``worker(task)`` for each task, in order, in a pool of ``jobs``
     processes when jobs > 1. A task that raises HerdWeightError or
-    FileNotFoundError gives the exception in place of its result."""
+    OSError (a missing or unreadable file) gives the exception in place
+    of its result."""
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -105,8 +107,17 @@ def _run_each(worker, tasks: list, jobs: int) -> list:
 def _guarded(worker, task):
     try:
         return worker(task)
-    except (HerdWeightError, FileNotFoundError) as exc:
+    except (HerdWeightError, OSError) as exc:
         return exc
+
+
+def _report(failures) -> None:
+    """One ``error:`` line per (file, exception), naming the file once."""
+    for f, exc in failures:
+        message = str(exc)
+        if not message.startswith(f"{f}:"):
+            message = f"{f}: {message}"
+        print(f"error: {message}", file=sys.stderr)
 
 
 def _clean_one(task: tuple) -> tuple:
@@ -135,12 +146,19 @@ def cmd_clean(args) -> int:
                         args.jobs)
     rows = [r for r in results if not isinstance(r, Exception)]
     failures = [(f, r) for f, r in zip(files, results) if isinstance(r, Exception)]
+    # A failed scan's output from an earlier run goes, unless it is an
+    # input: --out/cleaned may be the input directory. (realpath, unlike
+    # Path.resolve, does not raise on a symlink loop.)
+    inputs = {os.path.realpath(f) for f in files}
+    for f, _ in failures:
+        stale = cleaned_dir / f.name
+        if os.path.realpath(stale) not in inputs:
+            stale.unlink(missing_ok=True)
 
     header = ["animal_id", "points_before", "points_after", "planes_removed"]
     _write_csv(out / "summary.csv", header, rows)
     write_resolved_config(config, out)
-    for f, exc in failures:
-        print(f"error: {f}: {exc}", file=sys.stderr)
+    _report(failures)
     return 1 if failures else 0
 
 
@@ -182,8 +200,7 @@ def cmd_features(args) -> int:
     else:
         (out / "dataset.csv").unlink(missing_ok=True)
     write_resolved_config(config, out)
-    for f, exc in failures:
-        print(f"error: {f}: {exc}", file=sys.stderr)
+    _report(failures)
     return 1 if failures else 0
 
 

@@ -198,8 +198,14 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:   # a directory, no permission
+            raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deep") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
     raw.pop("tool_version", None)

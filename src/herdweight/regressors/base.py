@@ -221,10 +221,10 @@ from . import linear, neighbors, trees  # noqa: E402
 _FAMILY_TABLE: Mapping[str, Family] = MappingProxyType({
     "ols": Family({}, True, linear.fit_ols),
     "ridge": Family({"alpha": 1.0}, True, linear.fit_ridge),
-    "lasso": Family({"alpha": 1.0, "tol": 1e-7, "max_sweeps": 10_000}, True,
-                    partial(linear.fit_coordinate_descent, l1_ratio=1.0)),
-    "elastic_net": Family({"alpha": 1.0, "l1_ratio": 0.5, "tol": 1e-7, "max_sweeps": 10_000}, True,
-                          linear.fit_coordinate_descent),
+    "lasso": Family({"alpha": 1.0, "max_sweeps": 10_000}, True,
+                    partial(linear.fit_elastic_net, l1_ratio=1.0)),
+    "elastic_net": Family({"alpha": 1.0, "l1_ratio": 0.5, "max_sweeps": 10_000}, True,
+                          linear.fit_elastic_net),
     "huber": Family({"delta": 1.35, "max_iter": 100, "tol": 1e-8}, True, linear.fit_huber),
     "knn": Family({"k": 5}, True, neighbors.fit_knn),
     "decision_tree": Family({"max_depth": None}, False, trees.fit_decision_tree),

@@ -2,8 +2,10 @@
 
 All of them work on standardised features. OLS goes through the
 pseudo-inverse, ridge through the closed form on centred data with an
-unpenalised intercept, lasso/elastic net through cyclic coordinate
-descent, and Huber through iteratively reweighted least squares.
+unpenalised intercept, lasso/elastic net through the exact
+piecewise-linear solution path on the Gram matrix (``max_sweeps`` caps
+its steps; there is no tolerance), and Huber through iteratively
+reweighted least squares.
 """
 
 from __future__ import annotations
@@ -60,44 +62,91 @@ def fit_ridge(spec: ModelSpec, Xs, y, mean, scale, *, alpha: float) -> LinearMod
     return LinearModel(spec, mean, scale, coef, intercept)
 
 
-def fit_coordinate_descent(spec: ModelSpec, Xs, y, mean, scale, *, alpha: float,
-                           l1_ratio: float, tol: float, max_sweeps: int) -> LinearModel:
-    """Cyclic coordinate descent for (1/2n)||y - Xw||^2 + penalties.
+def fit_elastic_net(spec: ModelSpec, Xs, y, mean, scale, *, alpha: float,
+                    l1_ratio: float, max_sweeps: int) -> LinearModel:
+    """Exact minimiser of (1/2n)||y - Xw - b||^2 + penalties, lasso at l1_ratio 1.
 
     Penalty: alpha * l1_ratio * ||w||_1 + alpha * (1 - l1_ratio)/2 * ||w||^2.
-    Stops when the largest coefficient change in a sweep drops below tol.
+    With centred data the objective is w'Hw/2 - q'w + l1 ||w||_1 for
+    H = Xc'Xc/n + l2 I and q = Xc'yc/n; ``_homotopy`` follows its path.
+    ``max_sweeps`` caps the path steps.
     """
-    n, d = Xs.shape
     col_mean = Xs.mean(axis=0)
     Xc = Xs - col_mean
     y_mean = y.mean()
-    yc = y - y_mean
-
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
-    col_sq = (Xc * Xc).sum(axis=0) / n
-    w = np.zeros(d)
-    resid = yc.copy()
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j in range(d):
-            wj = w[j]
-            if wj != 0.0:
-                resid += wj * Xc[:, j]
-            rho = float(Xc[:, j] @ resid) / n
-            denom = col_sq[j] + l2
-            if denom == 0.0:
-                new = 0.0
-            else:
-                new = np.sign(rho) * max(abs(rho) - l1, 0.0) / denom
-            if new != 0.0:
-                resid -= new * Xc[:, j]
-            w[j] = new
-            max_delta = max(max_delta, abs(new - wj))
-        if max_delta < tol:
-            break
+    w = _homotopy(Xc, y - y_mean, l1, l2, max_sweeps)
     intercept = y_mean - float(col_mean @ w)
     return LinearModel(spec, mean, scale, w, intercept)
+
+
+# A column whose residual after projection on the active columns keeps
+# at most this share of its squared norm lies in their span.
+_DEPENDENT = 1e-12
+_SIGMA = np.array([[1.0], [-1.0]])
+
+
+def _homotopy(Xc, yc, l1: float, l2: float, max_steps: int) -> np.ndarray:
+    """Minimiser of w'Hw/2 - q'w + l1 ||w||_1 for H = Xc'Xc/n + l2 I and
+    q = Xc'yc/n, by the lasso homotopy (LARS-lasso: Osborne, Presnell &
+    Turlach 2000; Efron, Hastie, Johnstone & Tibshirani 2004).
+
+    As lambda falls from max|q| to l1, the minimiser at lambda is
+    piecewise linear: on the active set A with signs s,
+    H_AA w_A = q_A - lambda s_A, and every other feature keeps
+    |q_j - H_jA w_A| <= lambda. Each step moves lambda to the next event,
+    where one feature joins A or one coefficient reaches zero and leaves
+    it. In the next step a feature that just left may not rejoin with the
+    sign it left with: its event there is rounding. A column in the span
+    of the active columns never joins, since its correlation is fixed by
+    theirs; the active block therefore stays nonsingular, and with
+    l1 = l2 = 0 and n <= d the path ends at a least-squares solution.
+    The coefficients are the active block's solve at lambda = l1, after
+    at most ``max_steps`` events.
+    """
+    n, d = Xc.shape
+    H = Xc.T @ Xc / n + l2 * np.eye(d)
+    q = Xc.T @ yc / n
+    diag = np.diag(H)
+    active: list[int] = []
+    signs: list[float] = []
+    left, left_sign = -1, 0.0
+    for step in range(max_steps + 1):
+        A = np.array(active, dtype=np.intp)
+        s = np.array(signs)
+        sol = np.linalg.solve(H[np.ix_(A, A)], np.column_stack([q[A], s, H[A]]))
+        p, u, G = sol[:, 0], sol[:, 1], sol[:, 2:]
+        # w_A(t) = p - t u; an inactive correlation is e_j + t a_j
+        e = q - H[:, A] @ p
+        a = H[:, A] @ u
+        # squared residual of each column, with its ridge row, after
+        # projection on the active columns
+        resid = Xc - Xc[:, A] @ G
+        span = (resid * resid).sum(axis=0) / n + l2 * (1.0 + (G * G).sum(axis=0))
+        free = span > _DEPENDENT * diag
+        free[A] = False
+        # join where e_j + t a_j = sigma t, for sigma = +1 (row 0) and -1
+        rate = 1.0 - _SIGMA * a
+        ok = free & (rate > 0)
+        ok[_SIGMA[:, 0] == left_sign, left] = False
+        join_at = np.where(ok, _SIGMA * e / np.where(ok, rate, 1.0), -np.inf)
+        # leave where p_i - t u_i = 0, moving toward zero from sign s_i
+        leave_at = np.where(s * u < 0, p / np.where(u == 0, 1.0, u), -np.inf)
+        events = np.concatenate([leave_at, join_at.ravel()])
+        k = int(np.argmax(events))
+        if events[k] <= l1 or step == max_steps:
+            break
+        if k < len(active):
+            left, left_sign = active.pop(k), signs.pop(k)
+        else:
+            side, j = divmod(k - len(active), d)
+            left_sign = 0.0
+            active.append(j)
+            signs.append(_SIGMA[side, 0])
+    w = np.zeros(d)
+    w[A] = p - l1 * u
+    return w
 
 
 def fit_huber(spec: ModelSpec, Xs, y, mean, scale, *, delta: float,

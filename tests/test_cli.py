@@ -86,6 +86,34 @@ def test_clean_partial_failure(scene_dir, tmp_path, capsys):
     assert "broken.xyz" in capsys.readouterr().err
 
 
+def test_clean_rerun_removes_failed_scans_output(scene_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["clean", str(scene_dir), "--out", str(out)]) == 0
+    bad = scene_dir / "cow_1.xyz"
+    bad.write_text("1 2 x\n")
+    assert main(["clean", str(scene_dir), "--out", str(out)]) == 1
+    assert sorted(p.name for p in (out / "cleaned").iterdir()) == ["cow_0.xyz", "cow_2.xyz"]
+    assert [r[0] for r in _read_csv(out / "summary.csv")[1:]] == ["cow_0", "cow_2"]
+    # the loader's message starts with the path, so the line names it once
+    assert capsys.readouterr().err == f"error: {bad}:1: cannot parse 'x' as a number\n"
+
+
+def test_clean_into_its_input_directory_keeps_failed_inputs(scene_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    scene_dir.rename(out / "cleaned")
+    bad = out / "cleaned" / "cow_1.xyz"
+    bad.write_text("1 2 x\n")
+    loop = out / "cleaned" / "loop.xyz"
+    loop.symlink_to(loop.name)
+    assert main(["clean", str(out / "cleaned"), "--out", str(out)]) == 1
+    assert bad.read_text() == "1 2 x\n"
+    assert loop.is_symlink()
+    assert sorted(p.name for p in (out / "cleaned").iterdir()) == [
+        "cow_0.xyz", "cow_1.xyz", "cow_2.xyz", "loop.xyz"]
+    assert capsys.readouterr().err.count(str(bad)) == 1
+
+
 @pytest.mark.parametrize("header_line", ["element vertex abc", "element vertex", "property float"])
 def test_clean_bad_ply_header_fails_alone(tmp_path, capsys, header_line):
     scans = tmp_path / "scans"
@@ -526,6 +554,21 @@ def test_hostile_config_value_exits_cleanly(herd_csv, scene_dir, tmp_path, capsy
     assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("not-utf8", "not UTF-8"), ("nested-too-deep", "JSON nested too deep"),
+    ("directory", "cannot read config"),
+])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, kind, message):
+    cfg = tmp_path / "cfg.json"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"\xff{}" if kind == "not-utf8" else b"[" * 100_000)
+    assert main(["fuse-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: {message}") and "Traceback" not in err
 
 
 def test_unknown_config_key_is_usage_error(herd_csv, tmp_path, capsys):

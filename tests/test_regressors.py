@@ -1,6 +1,8 @@
 """Base model families: recovery, determinism, monotonicity, serialisation."""
 
+import inspect
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from herdweight.errors import (
     NonPositiveTarget,
 )
 from herdweight.regressors import (
+    DEFAULT_FAMILY_PARAMS,
     FAMILIES,
     ModelSpec,
     default_model_specs,
@@ -19,6 +22,7 @@ from herdweight.regressors import (
     model_from_dict,
     validate_spec,
 )
+from herdweight.regressors.base import _FAMILY_TABLE
 
 
 def _linear_data(n=10, slope=2.0, intercept=1.0, seed=0, noise=0.0):
@@ -222,10 +226,24 @@ def test_hyperparameter_validation():
         ModelSpec(name="m", family="ols", params={"mystery": 3}),
         ModelSpec(name="m", family="banana"),
         ModelSpec(name="m", family="random_forest", params={"n_trees": 0}),
+        ModelSpec(name="m", family="lasso", params={"tol": 1e-7}),
+        ModelSpec(name="m", family="elastic_net", params={"tol": 1e-7}),
     ]
     for spec in bad:
         with pytest.raises(InvalidHyperparameter):
             validate_spec(spec)
+
+
+def test_family_defaults_are_the_keywords_fit_takes():
+    """A hyperparameter is a default key exactly when the family's fit
+    function still takes it from the spec, so no key outlives its use."""
+    for name in FAMILIES:
+        fn, bound = _FAMILY_TABLE[name].fit, {}
+        if isinstance(fn, partial):
+            fn, bound = fn.func, fn.keywords
+        keywords = {p.name for p in inspect.signature(fn).parameters.values()
+                    if p.kind is p.KEYWORD_ONLY}
+        assert keywords - set(bound) == set(DEFAULT_FAMILY_PARAMS[name]), name
 
 
 def test_fit_input_validation():
