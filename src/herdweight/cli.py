@@ -10,9 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
-import json
 import os
 import sys
 from dataclasses import astuple, fields
@@ -34,7 +32,7 @@ from .dataset import (
 from .errors import ConfigError, HerdWeightError, MissingWeight, ParseError
 from .evaluation import SweepRow, kfold_split, nested_cv
 from .features import extract_feature_vector
-from .files import open_fresh
+from .files import read_json, write_csv, write_json
 from .fusion import simulate_trajectory
 from .pointcloud import detect_format, load_point_cloud, save_point_cloud
 from .stacking import (
@@ -47,6 +45,9 @@ from .stacking import (
 )
 
 _CLOUD_SUFFIXES = (".xyz", ".txt", ".csv", ".ply")
+
+# What fails one scan alone in clean and features, or a whole run (exit 1).
+_FAILURES = (HerdWeightError, OSError)
 
 
 def _gather_inputs(pattern: str) -> list[Path]:
@@ -79,18 +80,6 @@ def _config(args):
     return load_config(args.config, {k: v for k, v in vars(args).items() if "." in k})
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open_fresh(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open_fresh(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _run_each(worker, tasks: list, jobs: int) -> list:
     """``worker(task)`` for each task, in order, in a pool of ``jobs``
     processes when jobs > 1. A task that raises HerdWeightError or
@@ -107,7 +96,7 @@ def _run_each(worker, tasks: list, jobs: int) -> list:
 def _guarded(worker, task):
     try:
         return worker(task)
-    except (HerdWeightError, OSError) as exc:
+    except _FAILURES as exc:
         return exc
 
 
@@ -156,7 +145,7 @@ def cmd_clean(args) -> int:
             stale.unlink(missing_ok=True)
 
     header = ["animal_id", "points_before", "points_after", "planes_removed"]
-    _write_csv(out / "summary.csv", header, rows)
+    write_csv(out / "summary.csv", header, rows)
     write_resolved_config(config, out)
     _report(failures)
     return 1 if failures else 0
@@ -216,9 +205,9 @@ def _parse_sweep(text: str, n_specs: int) -> list[int]:
 
 
 def _write_ranking_csv(ranking, path: Path) -> None:
-    _write_csv(path, ["rank", "model", "r2", "mae_kg", "mape_pct"],
-               ([i, e.name, _float_repr(e.r2), _float_repr(e.mae), _float_repr(e.mape)]
-                for i, e in enumerate(ranking.entries, start=1)))
+    write_csv(path, ["rank", "model", "r2", "mae_kg", "mape_pct"],
+              ([i, e.name, _float_repr(e.r2), _float_repr(e.mae), _float_repr(e.mape)]
+               for i, e in enumerate(ranking.entries, start=1)))
 
 
 def cmd_cv(args) -> int:
@@ -242,12 +231,12 @@ def cmd_cv(args) -> int:
     }
     if audit is not None:
         report["audit"] = {"n_fits": audit.n_fits, "violations": list(audit.violations)}
-    _write_json(report, out / "report.json")
+    write_json(out / "report.json", report)
     _write_ranking_csv(cv.ranking(), out / "ranking.csv")
     if m_values:
         sweep = cv.sweep(m_values, config.alpha)
-        _write_csv(out / "sweep.csv", [f.name for f in fields(SweepRow)],
-                   ([r.m, *map(_float_repr, astuple(r)[1:])] for r in sweep))
+        write_csv(out / "sweep.csv", [f.name for f in fields(SweepRow)],
+                  ([r.m, *map(_float_repr, astuple(r)[1:])] for r in sweep))
     else:
         (out / "sweep.csv").unlink(missing_ok=True)
     write_resolved_config(config, out)
@@ -268,7 +257,7 @@ def cmd_train(args) -> int:
     payload = ensemble_to_dict(ensemble)
     payload["n_features"] = X.shape[1]
     payload["tool_version"] = __version__
-    _write_json(payload, out / "model.json")
+    write_json(out / "model.json", payload)
     _write_ranking_csv(inner.ranking, out / "ranking.csv")
     write_resolved_config(config, out)
     return 0
@@ -276,10 +265,11 @@ def cmd_train(args) -> int:
 
 def _load_model(path: str) -> StackedEnsemble:
     """The ensemble in a model.json; any malformed content is a ParseError."""
+    payload = read_json(path, "model", ParseError)
     try:
-        return ensemble_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return ensemble_from_dict(payload)
     except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-        # ValueError covers invalid JSON and UTF-8; the rest are missing or mistyped fields.
+        # missing, mistyped or invalid fields
         raise ParseError(f"{path}: not a valid model file ({type(exc).__name__}: {exc})") from None
 
 
@@ -289,8 +279,8 @@ def cmd_predict(args) -> int:
     ids, X = load_features_csv(args.features)
     out = _prepare_out(args)
     preds = predict_stack(ensemble, X)
-    _write_csv(out / "predictions.csv", ["animal_id", "predicted_weight_kg"],
-               ([animal_id, _float_repr(p)] for animal_id, p in zip(ids, preds)))
+    write_csv(out / "predictions.csv", ["animal_id", "predicted_weight_kg"],
+              ([animal_id, _float_repr(p)] for animal_id, p in zip(ids, preds)))
     write_resolved_config(config, out)
     return 0
 
@@ -386,7 +376,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (HerdWeightError, FileNotFoundError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

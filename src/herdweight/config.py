@@ -8,7 +8,6 @@ exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import __version__
 from .cleaning import RansacParams
 from .errors import ConfigError, check_number
-from .files import open_fresh
+from .files import read_json, write_json
 from .fusion import (
     FusionParams,
     SimulationConfig,
@@ -194,18 +193,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
     """
     raw: dict = {}
     if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except OSError as exc:   # a directory, no permission
-            raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise ConfigError(f"{path}: JSON nested too deep") from None
+        raw = read_json(path, "config", ConfigError)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
     raw.pop("tool_version", None)
@@ -225,6 +213,5 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
 def write_resolved_config(config: PipelineConfig, out_dir: str | Path) -> Path:
     """Drop config.resolved.json (with tool version stamp) into out_dir."""
     out = Path(out_dir) / "config.resolved.json"
-    with open_fresh(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(config.resolved_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out, config.resolved_dict())
     return out

@@ -8,15 +8,14 @@ the same value, so save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, NonFiniteInput, NonPositiveTarget, ParseError
+from .errors import NonFiniteInput, NonPositiveTarget, ParseError
 from .features import FEATURE_NAMES
-from .files import open_fresh, text_blocks
+from .files import text_blocks, write_csv
 from .pointcloud import block_floats
 
 DATASET_HEADER = ("animal_id", *FEATURE_NAMES, "weight_kg")
@@ -54,16 +53,10 @@ class HerdDataset:
 
 
 def save_dataset_csv(dataset: HerdDataset, path: str | Path) -> None:
-    try:
-        with open_fresh(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(DATASET_HEADER)
-            for i, animal_id in enumerate(dataset.ids):
-                writer.writerow([animal_id,
-                                 *(repr(v) for v in dataset.features[i].tolist()),
-                                 repr(float(dataset.weights[i]))])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    """Write ``dataset`` to ``path``; IoError if that fails."""
+    write_csv(path, DATASET_HEADER,
+              ([animal_id, *map(repr, row), repr(w)] for animal_id, row, w
+               in zip(dataset.ids, dataset.features.tolist(), dataset.weights.tolist())))
 
 
 def load_dataset_csv(path: str | Path) -> HerdDataset:

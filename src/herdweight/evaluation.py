@@ -62,12 +62,8 @@ def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
         raise InvalidK(f"need 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.intp)
-    base, extra = divmod(n, k)
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        fold_of[perm[start : start + size]] = f
-        start += size
+    for f, members in enumerate(np.array_split(perm, k)):
+        fold_of[members] = f
     return FoldAssignment(k=k, fold_of=fold_of, seed=seed)
 
 

@@ -1,13 +1,17 @@
-"""Opening output files and reading input text in blocks of rows."""
+"""Every output file and JSON input of the package, and input text read in
+blocks of rows. Only `output` opens a file for writing, so that a failure
+to write is always an IoError naming the file."""
 
 import codecs
 import csv
+import json
 import os
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice
+from pathlib import Path
 
-from .errors import ParseError
+from .errors import IoError, ParseError
 
 # Input text is read and converted BLOCK_ROWS rows at a time, so parsing
 # holds one block's tokens (about 8 MB for three numbers a row) whatever
@@ -16,17 +20,55 @@ from .errors import ParseError
 BLOCK_ROWS = 16384
 
 
-def open_fresh(path, mode: str = "w", **kwargs):
-    """``open(path, mode, **kwargs)`` on a new file: an existing file at
-    ``path`` is unlinked, not truncated. Truncating a file written moments
-    ago can block in a writeback flush (about 50 ms on ext4). A hard link
-    to the old file keeps its bytes; a symlink at ``path`` is replaced,
-    not written through."""
+@contextmanager
+def output(path, binary: bool = False, newline: str = "\n"):
+    """A new file at ``path``, open for writing (UTF-8 text unless
+    ``binary``) in the ``with`` block. An existing file at ``path`` is
+    unlinked, not truncated: truncating a file written moments ago can
+    block in a writeback flush (about 50 ms on ext4). A hard link to the
+    old file keeps its bytes; a symlink at ``path`` is replaced, not
+    written through. Any OSError from the unlink, the open or a write is
+    an IoError."""
     try:
-        os.unlink(path)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        with (open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline=newline)) as f:
+            yield f
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON with sorted keys, indented by 2, and a final newline."""
+    with output(path) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV file of ``header`` and then ``rows``, with CRLF line ends."""
+    with output(path, newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path, what: str, error):
+    """The JSON value in the UTF-8 file at ``path``; ``error`` names why
+    if the file is missing, unreadable, not UTF-8, not JSON or too deep."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        pass
-    return open(path, mode, **kwargs)
+        raise error(f"{what} file not found: {path}") from None
+    except OSError as exc:   # a directory, no permission
+        raise error(f"{path}: cannot read {what}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deep") from None
 
 
 def row_blocks(rows, first: int = 1):

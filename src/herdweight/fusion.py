@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSchedule, IoError, NonFiniteInput, check_number
-from .files import open_fresh
+from .errors import InvalidSchedule, NonFiniteInput, check_number
+from .files import output
 
 CENTER_METHODS = ("mean", "median")
 
@@ -230,11 +230,8 @@ class TrajectoryTrace:
             for v in range(cfg.views):
                 lines.append(f"{t},{v},{float(self.mean_agreement[t, v])!r},"
                              f"{float(self.mean_weight[t, v])!r}")
-        try:
-            with open_fresh(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        with output(path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def simulate_trajectory(config: SimulationConfig) -> TrajectoryTrace:

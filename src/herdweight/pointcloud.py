@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCloud, IoError, NonFiniteCoordinate, ParseError
-from .files import open_fresh, row_blocks, text_blocks
+from .errors import EmptyCloud, NonFiniteCoordinate, ParseError
+from .files import output, row_blocks, text_blocks
 
 XYZ_ASCII = "xyz-ascii"
 CSV_FORMAT = "csv"
@@ -293,38 +293,28 @@ def _read_ply_binary_vertices(f, header: dict, path: Path) -> np.ndarray:
 
 
 def save_point_cloud(cloud: PointCloud, path: str | Path, fmt: str) -> None:
-    """Write `cloud` to `path`.
+    """Write `cloud` to `path`; IoError if that fails.
 
     ASCII formats use the shortest decimal that reparses to the same
     float, so load(save(c)) is bit-exact; ply-binary-le stores float32
     and round-trips the float32 bits exactly.
     """
     pts = as_points(cloud)
-    path = Path(path)
-    try:
-        if fmt == XYZ_ASCII:
-            _save_text(path, ("%s %s %s" % (repr(x), repr(y), repr(z)) for x, y, z in pts.tolist()))
-        elif fmt == CSV_FORMAT:
-            _save_text(path, ("%s,%s,%s" % (repr(x), repr(y), repr(z)) for x, y, z in pts.tolist()), head="x,y,z")
-        elif fmt == PLY_ASCII:
-            head = _ply_header("ascii", len(pts))
-            _save_text(path, ("%s %s %s" % (repr(x), repr(y), repr(z)) for x, y, z in pts.tolist()), head=head)
-        elif fmt == PLY_BINARY_LE:
-            with open_fresh(path, "wb") as f:
-                f.write((_ply_header("binary_little_endian", len(pts)) + "\n").encode("ascii"))
-                f.write(pts.astype("<f4").tobytes())
-        else:
-            raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _save_text(path: Path, lines, head: str | None = None) -> None:
-    with open_fresh(path, "w", encoding="utf-8", newline="\n") as f:
-        if head is not None:
-            f.write(head + "\n")
-        for line in lines:
-            f.write(line + "\n")
+    if fmt == PLY_BINARY_LE:
+        with output(path, binary=True) as f:
+            f.write((_ply_header("binary_little_endian", len(pts)) + "\n").encode("ascii"))
+            f.write(pts.astype("<f4").tobytes())
+        return
+    # (separator, header lines) of each text format
+    text_formats = {XYZ_ASCII: (" ", ""), CSV_FORMAT: (",", "x,y,z\n"),
+                    PLY_ASCII: (" ", _ply_header("ascii", len(pts)) + "\n")}
+    if fmt not in text_formats:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    sep, head = text_formats[fmt]
+    with output(path) as f:
+        f.write(head)
+        for x, y, z in pts.tolist():
+            f.write(f"{x!r}{sep}{y!r}{sep}{z!r}\n")
 
 
 def _ply_header(fmt_token: str, n: int) -> str:

@@ -58,11 +58,6 @@ def default_model_specs(seed: int = 0) -> list[ModelSpec]:
 _check_int = partial(check_number, integer=True, error=InvalidHyperparameter)
 
 
-def _check_pos(name: str, value) -> None:
-    if not np.isfinite(value) or value <= 0:
-        raise InvalidHyperparameter(f"{name} must be > 0, got {value!r}")
-
-
 def validate_spec(spec: ModelSpec) -> None:
     """Raise InvalidHyperparameter for unknown families/keys or bad ranges."""
     if spec.family not in FAMILIES:
@@ -73,16 +68,18 @@ def validate_spec(spec: ModelSpec) -> None:
         raise InvalidHyperparameter(f"{spec.name}: unknown hyperparameters {sorted(extra)} for family {spec.family!r}")
     _check_int(f"{spec.name}: seed", spec.seed, low=0)
     p = spec.resolved_params()
-    if "alpha" in p and (not np.isfinite(p["alpha"]) or p["alpha"] < 0):
+    for key in ("alpha", "l1_ratio", "tol", "delta", "learning_rate"):   # real-valued
+        if key in p:
+            check_number(f"{spec.name}: {key}", p[key], error=InvalidHyperparameter)
+    if "alpha" in p and p["alpha"] < 0:
         raise InvalidHyperparameter(f"{spec.name}: alpha must be >= 0")
     if "l1_ratio" in p and not 0.0 <= p["l1_ratio"] <= 1.0:
         raise InvalidHyperparameter(f"{spec.name}: l1_ratio must be in [0, 1]")
-    if "tol" in p:
-        _check_pos(f"{spec.name}: tol", p["tol"])
+    for key in ("tol", "delta"):
+        if key in p and p[key] <= 0:
+            raise InvalidHyperparameter(f"{spec.name}: {key} must be > 0, got {p[key]!r}")
     if "max_sweeps" in p:
         _check_int(f"{spec.name}: max_sweeps", p["max_sweeps"], low=1)
-    if "delta" in p:
-        _check_pos(f"{spec.name}: delta", p["delta"])
     if "max_iter" in p:
         _check_int(f"{spec.name}: max_iter", p["max_iter"], low=1)
     if "k" in p:

@@ -421,6 +421,8 @@ def _model_json(**fields):
     pytest.param(_model_json(weights=[float("inf")]), id="inf-weight"),
     pytest.param(_model_json(intercept=float("nan")), id="nan-intercept"),
     pytest.param(_model_json(specs=[]), id="specs-models-mismatch"),
+    pytest.param(b"\xff{}", id="not-utf8"),
+    pytest.param(b"[" * 200_000, id="nested-too-deep"),
 ])
 def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
     model = tmp_path / "model.json"
@@ -429,7 +431,10 @@ def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
     features.write_text("animal_id,f1\nx,1.0\n")
     assert main(["predict", str(model), str(features), "--out", str(tmp_path / "p")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "model.json" in err
+    # A file that is not JSON text is named for why; any other for its content.
+    reason = {b"{not json": "invalid JSON", b"\xff\xfe": "not UTF-8", b"\xff{}": "not UTF-8",
+              b"[" * 200_000: "JSON nested too deep"}.get(content, "not a valid model file")
+    assert err.startswith(f"error: {model}: {reason}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("content, message", [
@@ -569,6 +574,33 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, kind, message):
     assert main(["fuse-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["model-nested-too-deep", "model-is-a-directory",
+                                  "dataset-is-a-directory", "resolved-config-is-a-directory",
+                                  "out-is-a-file"])
+def test_unreadable_input_or_unwritable_output_is_data_error(herd_csv, tmp_path, capsys, kind):
+    out, model = tmp_path / "out", tmp_path / "model.json"
+    argv, named = ["predict", str(model), str(herd_csv)], model
+    if kind == "model-nested-too-deep":
+        model.write_bytes(b"[" * 200_000)
+    elif kind == "model-is-a-directory":
+        model.mkdir()
+    elif kind == "dataset-is-a-directory":
+        named = tmp_path / "herd_dir"
+        named.mkdir()
+        argv = ["cv", str(named)]
+    elif kind == "resolved-config-is-a-directory":
+        named = out / "config.resolved.json"
+        named.mkdir(parents=True)
+        argv = ["fuse-sim"]
+    else:
+        out.write_text("")
+        argv, named = ["fuse-sim"], out
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+    assert "Traceback" not in err
 
 
 def test_unknown_config_key_is_usage_error(herd_csv, tmp_path, capsys):

@@ -75,10 +75,6 @@ def _objective(Xc, yc, w, l1, l2):
     return r @ r / (2 * len(yc)) + l1 * np.abs(w).sum() + l2 / 2 * w @ w
 
 
-# Hypothesis's report of a failing example raises a DeprecationWarning,
-# which warnings-as-errors would turn into an internal error that ends the
-# whole session instead of one failed test.
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from(PROBLEMS), seed=st.integers(0, 2**32 - 1),
        alpha=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]), l1_ratio=st.sampled_from([0.0, 0.5, 1.0]))

@@ -228,6 +228,10 @@ def test_hyperparameter_validation():
         ModelSpec(name="m", family="random_forest", params={"n_trees": 0}),
         ModelSpec(name="m", family="lasso", params={"tol": 1e-7}),
         ModelSpec(name="m", family="elastic_net", params={"tol": 1e-7}),
+        *(ModelSpec(name="m", family=family, params={key: value})
+          for family, key in (("ridge", "alpha"), ("elastic_net", "l1_ratio"), ("huber", "tol"),
+                              ("huber", "delta"), ("gradient_boosting", "learning_rate"))
+          for value in (True, "0.5", None)),
     ]
     for spec in bad:
         with pytest.raises(InvalidHyperparameter):
