@@ -78,6 +78,7 @@ class RansacParams:
         check_number("inlier_threshold", self.inlier_threshold)
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be > 0")
+        check_number("min_plane_fraction", self.min_plane_fraction)
         if not 0 < self.min_plane_fraction < 1:
             raise ValueError("min_plane_fraction must be in (0, 1)")
         if not isinstance(self.threshold_is_relative, bool):

@@ -100,10 +100,18 @@ def _guarded(worker, task):
         return exc
 
 
+def _message(exc: Exception) -> str:
+    """``<path>: <reason>`` for an OSError that names its file, else the
+    exception's own text."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
+
+
 def _report(failures) -> None:
     """One ``error:`` line per (file, exception), naming the file once."""
     for f, exc in failures:
-        message = str(exc)
+        message = _message(exc)
         if not message.startswith(f"{f}:"):
             message = f"{f}: {message}"
         print(f"error: {message}", file=sys.stderr)
@@ -377,7 +385,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
 
 

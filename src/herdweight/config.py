@@ -18,6 +18,7 @@ from .cleaning import RansacParams
 from .errors import ConfigError, check_number
 from .files import read_json, write_json
 from .fusion import (
+    DEFAULT_SCHEDULE,
     FusionParams,
     SimulationConfig,
     constant_schedule,
@@ -122,11 +123,12 @@ def _build_specs(models_section: dict) -> list[ModelSpec]:
 def _build_schedule(section: dict, steps: int) -> np.ndarray:
     _check_keys(section, {"kind", "sigma0", "decay", "values"}, "simulation.schedule")
     kind = section.get("kind", "geometric")
+    values = {**DEFAULT_SCHEDULE, **section}
     try:
         if kind == "geometric":
-            return geometric_schedule(section.get("sigma0", 1.0), section.get("decay", 0.88), steps)
+            return geometric_schedule(values["sigma0"], values["decay"], steps)
         if kind == "constant":
-            return constant_schedule(section.get("sigma0", 1.0), steps)
+            return constant_schedule(values["sigma0"], steps)
         if kind == "explicit":
             if "values" not in section:
                 raise ConfigError("simulation.schedule: explicit schedule needs 'values'")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .errors import InvalidSchedule, NonFiniteInput, check_number
 from .files import output
 
 CENTER_METHODS = ("mean", "median")
+# The noise schedule of a simulation that names none: geometric_schedule's
+# arguments, and the config defaults of the geometric and constant kinds.
+DEFAULT_SCHEDULE = MappingProxyType({"sigma0": 1.0, "decay": 0.88})
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,9 @@ class FusionParams:
     center: str = "mean"
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
+        check_number("beta", self.beta, low=0)
+        check_number("epsilon", self.epsilon)
+        if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.center not in CENTER_METHODS:
             raise ValueError(f"center must be one of {CENTER_METHODS}, got {self.center!r}")
@@ -143,12 +147,15 @@ def average_fuse(updates: ViewUpdateSet, params: FusionParams | None = None) -> 
 
 def geometric_schedule(sigma0: float, decay: float, steps: int) -> np.ndarray:
     """sigma0 * decay**t for t = 0..steps-1."""
+    check_number("sigma0", sigma0, error=InvalidSchedule)
+    check_number("decay", decay, error=InvalidSchedule)
     if sigma0 < 0 or not 0 <= decay <= 1:
         raise InvalidSchedule(f"need sigma0 >= 0 and decay in [0, 1], got {sigma0}, {decay}")
     return sigma0 * decay ** np.arange(steps, dtype=np.float64)
 
 
 def constant_schedule(sigma: float, steps: int) -> np.ndarray:
+    check_number("sigma", sigma, error=InvalidSchedule)
     if sigma < 0:
         raise InvalidSchedule(f"need sigma >= 0, got {sigma}")
     return np.full(steps, float(sigma))
@@ -192,8 +199,9 @@ class SimulationConfig:
         check_number("target_scale", self.target_scale)
         sched = self.schedule
         if sched is None:
-            sched = geometric_schedule(1.0, 0.88, self.steps)
+            sched = geometric_schedule(**DEFAULT_SCHEDULE, steps=self.steps)
         object.__setattr__(self, "schedule", _validate_schedule(sched, self.steps))
+        check_number("contraction", self.contraction)
         if not 0 < self.contraction <= 1:
             raise ValueError(f"contraction must be in (0, 1], got {self.contraction}")
         if self.view_bias is not None:

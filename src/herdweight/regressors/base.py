@@ -78,19 +78,10 @@ def validate_spec(spec: ModelSpec) -> None:
     for key in ("tol", "delta"):
         if key in p and p[key] <= 0:
             raise InvalidHyperparameter(f"{spec.name}: {key} must be > 0, got {p[key]!r}")
-    if "max_sweeps" in p:
-        _check_int(f"{spec.name}: max_sweeps", p["max_sweeps"], low=1)
-    if "max_iter" in p:
-        _check_int(f"{spec.name}: max_iter", p["max_iter"], low=1)
-    if "k" in p:
-        _check_int(f"{spec.name}: k", p["k"], low=1)
-    if "max_depth" in p and p["max_depth"] is not None:
-        _check_int(f"{spec.name}: max_depth", p["max_depth"], low=1)
-    if "n_trees" in p:
-        _check_int(f"{spec.name}: n_trees", p["n_trees"], low=1)
-    if "n_rounds" in p:
-        low = 0 if spec.family == "gradient_boosting" else 1
-        _check_int(f"{spec.name}: n_rounds", p["n_rounds"], low=low)
+    for key in ("max_sweeps", "max_iter", "k", "max_depth", "n_trees", "n_rounds"):   # counts
+        if key in p and not (key == "max_depth" and p[key] is None):   # None: no depth cap
+            low = 0 if key == "n_rounds" and spec.family == "gradient_boosting" else 1
+            _check_int(f"{spec.name}: {key}", p[key], low=low)
     if "learning_rate" in p and not 0.0 < p["learning_rate"] <= 1.0:
         raise InvalidHyperparameter(f"{spec.name}: learning_rate must be in (0, 1]")
 
@@ -238,4 +229,5 @@ _FAMILY_TABLE: Mapping[str, Family] = MappingProxyType({
 FAMILIES = tuple(_FAMILY_TABLE)
 DEFAULT_FAMILY_PARAMS: Mapping[str, dict] = MappingProxyType(
     {name: family.defaults for name, family in _FAMILY_TABLE.items()})
-_MODEL_KINDS = {cls.kind: cls for cls in FittedModel.__subclasses__()}
+_MODEL_KINDS = {cls.kind: cls for cls in FittedModel.__subclasses__() + trees.TreeModel.__subclasses__()
+                if cls is not trees.TreeModel}

@@ -12,8 +12,8 @@ Guestrin, KDD 2016). X is ranked once per fit. Each level orders every
 open node's rows by rank per candidate feature, takes the child sums from
 cumulative sums that restart at zero in the node, and partitions the rows
 stably between the children. Node means keep ``np.add.reduce``'s pairwise
-order and nodes are numbered in depth-first allocation order, so a tree
-is, to the last bit, the one a node-at-a-time grower builds.
+order and a ``TreeTable``'s dicts are depth first, so a saved tree is, to
+the last bit, the one a node-at-a-time, depth-first grower builds.
 
 Forest RNG contract: tree t draws from ``default_rng([seed, t])``, first
 its bootstrap (random forest only), then one ``random((k, w))`` per depth
@@ -37,8 +37,8 @@ class TreeTable:
     """The flat node arrays of one or more trees; feature == -1 marks a leaf.
 
     ``roots`` holds each tree's root; ``left`` and ``right`` index the
-    whole table. A fit stores each tree contiguously, from its root to the
-    next, numbered as a depth-first grower allocates nodes.
+    whole table, in any node order. ``to_dicts`` numbers each tree's nodes
+    as a depth-first grower allocates them.
     """
 
     def __init__(self, feature, threshold, left, right, value, roots):
@@ -71,7 +71,7 @@ class TreeTable:
             active = active[self.feature[node[active]] >= 0]
         return self.value[node].reshape(self.roots.size, m)
 
-    def depth_first(self) -> TreeTable:
+    def _depth_first(self) -> TreeTable:
         """The same trees, each stored contiguously and numbered as a
         depth-first grower (left child first) allocates nodes: the root
         is 0, and the i-th internal node in preorder allocates 2i + 1 for
@@ -98,14 +98,15 @@ class TreeTable:
         return TreeTable(feature, threshold, left, right, value, new[self.roots])
 
     def to_dicts(self) -> list[dict]:
-        """One dict per tree, child indices local to the tree."""
-        ends = self.roots[1:].tolist() + [self.value.size]
-        return [{"feature": self.feature[lo:hi].tolist(),
-                 "threshold": self.threshold[lo:hi].tolist(),
-                 "left": np.where(self.left[lo:hi] >= 0, self.left[lo:hi] - lo, -1).tolist(),
-                 "right": np.where(self.right[lo:hi] >= 0, self.right[lo:hi] - lo, -1).tolist(),
-                 "value": self.value[lo:hi].tolist()}
-                for lo, hi in zip(self.roots.tolist(), ends)]
+        """One dict per tree, nodes depth first, child indices local to it."""
+        t = self._depth_first()
+        ends = t.roots[1:].tolist() + [t.value.size]
+        return [{"feature": t.feature[lo:hi].tolist(),
+                 "threshold": t.threshold[lo:hi].tolist(),
+                 "left": np.where(t.left[lo:hi] >= 0, t.left[lo:hi] - lo, -1).tolist(),
+                 "right": np.where(t.right[lo:hi] >= 0, t.right[lo:hi] - lo, -1).tolist(),
+                 "value": t.value[lo:hi].tolist()}
+                for lo, hi in zip(t.roots.tolist(), ends)]
 
     @classmethod
     def from_dicts(cls, dicts) -> TreeTable:
@@ -143,9 +144,8 @@ def rank_columns(X) -> tuple[np.ndarray, np.ndarray]:
 def grow_trees(cols, y, idx, *, max_depth=None, mtry=None, random_thresholds=False, rngs=()):
     """Grow one CART tree on the rows idx[t] of X (duplicates allowed) for
     every t. ``cols`` is ``rank_columns(X)``; ``rngs`` holds one generator
-    per tree when trees draw. Returns the trees, in level order until
-    ``depth_first`` renumbers them, and the leaf value of every draw,
-    shape idx.shape.
+    per tree when trees draw. Returns the trees, nodes in level order,
+    and the leaf value of every draw, shape idx.shape.
     """
     xt, ranks = cols
     (d, n_pad), (n_trees, m) = ranks.shape, idx.shape
@@ -276,15 +276,41 @@ def _node_sums(yv, sizes, pos):
     return out
 
 
-class DecisionTreeModel(FittedModel):
-    kind = "decision_tree"
+class TreeModel(FittedModel):
+    """Trees in one TreeTable whose leaf values for a block of rows, an
+    (n_trees, rows) array, ``_combine`` turns into predictions.
 
-    def __init__(self, spec, feature_mean, feature_scale, table: TreeTable):
+    ``_state_keys`` orders both the model.json state and the constructor's
+    arguments after the scaling: "trees" is the table, any other key numbers.
+    """
+
+    _state_keys = ("trees",)
+
+    def __init__(self, spec, feature_mean, feature_scale, *state):
         super().__init__(spec, feature_mean, feature_scale)
-        self.table = table
+        values = dict(zip(self._state_keys, state, strict=True))
+        self.table = values.pop("trees")
+        for key, value in values.items():
+            setattr(self, key, np.asarray(value, dtype=np.float64))
 
     def _predict_std(self, Xs):
-        return self.table.predict(Xs)[0]
+        return self.table.predict(Xs, self._combine)
+
+    def _state_dict(self):
+        return {key: self.table.to_dicts() if key == "trees" else getattr(self, key).tolist()
+                for key in self._state_keys}
+
+    @classmethod
+    def _from_state(cls, spec, feature_mean, feature_scale, state):
+        state = {**state, "trees": TreeTable.from_dicts(state["trees"])}
+        return cls(spec, feature_mean, feature_scale, *(state[key] for key in cls._state_keys))
+
+
+class DecisionTreeModel(TreeModel):
+    kind = "decision_tree"
+
+    def _combine(self, leaves):
+        return leaves[0]
 
     def _state_dict(self):
         return {"tree": self.table.to_dicts()[0]}
@@ -294,7 +320,7 @@ class DecisionTreeModel(FittedModel):
         return cls(spec, feature_mean, feature_scale, TreeTable.from_dicts([state["tree"]]))
 
 
-class ForestModel(FittedModel):
+class ForestModel(TreeModel):
     """Mean of independently grown trees (random forest / extra trees).
 
     Seeded row/threshold sampling keys off sample positions, so unlike
@@ -304,82 +330,41 @@ class ForestModel(FittedModel):
 
     kind = "forest"
 
-    def __init__(self, spec, feature_mean, feature_scale, table: TreeTable):
-        super().__init__(spec, feature_mean, feature_scale)
-        self.table = table
-
-    def _predict_std(self, Xs):
+    def _combine(self, leaves):
         # cumsum keeps the tree-by-tree summation order
-        return self.table.predict(Xs, lambda p: np.cumsum(p, axis=0)[-1]) / self.table.roots.size
-
-    def _state_dict(self):
-        return {"trees": self.table.to_dicts()}
-
-    @classmethod
-    def _from_state(cls, spec, feature_mean, feature_scale, state):
-        return cls(spec, feature_mean, feature_scale, TreeTable.from_dicts(state["trees"]))
+        return np.cumsum(leaves, axis=0)[-1] / leaves.shape[0]
 
 
-class AdaBoostModel(FittedModel):
+class AdaBoostModel(TreeModel):
     """AdaBoost.R2: weighted-median combination of resampled trees."""
 
     kind = "adaboost"
+    _state_keys = ("trees", "betas")
 
-    def __init__(self, spec, feature_mean, feature_scale, table: TreeTable, betas):
-        super().__init__(spec, feature_mean, feature_scale)
-        self.table = table
-        self.betas = np.asarray(betas, dtype=np.float64)
-
-    def _predict_std(self, Xs):
-        return self.table.predict(Xs, self._weighted_median)
-
-    def _weighted_median(self, preds):
+    def _combine(self, leaves):
         alpha = np.log(1.0 / self.betas)
-        order = np.argsort(preds, axis=0, kind="stable")
+        order = np.argsort(leaves, axis=0, kind="stable")
         cdf = np.cumsum(alpha[order], axis=0)
         first = np.argmax(cdf >= 0.5 * alpha.sum(), axis=0)
-        cols = np.arange(preds.shape[1])
-        return preds[order[first, cols], cols]
-
-    def _state_dict(self):
-        return {"trees": self.table.to_dicts(), "betas": self.betas.tolist()}
-
-    @classmethod
-    def _from_state(cls, spec, feature_mean, feature_scale, state):
-        return cls(spec, feature_mean, feature_scale, TreeTable.from_dicts(state["trees"]),
-                   state["betas"])
+        cols = np.arange(leaves.shape[1])
+        return leaves[order[first, cols], cols]
 
 
-class GradientBoostingModel(FittedModel):
+class GradientBoostingModel(TreeModel):
     """Squared-loss boosting: mean target plus shrunken residual trees."""
 
     kind = "gradient_boosting"
+    _state_keys = ("init", "learning_rate", "trees")
 
-    def __init__(self, spec, feature_mean, feature_scale, init: float, learning_rate: float,
-                 table: TreeTable):
-        super().__init__(spec, feature_mean, feature_scale)
-        self.init = float(init)
-        self.learning_rate = float(learning_rate)
-        self.table = table
-
-    def _predict_std(self, Xs):
+    def _combine(self, leaves):
         # cumsum keeps the round-by-round summation order
-        return self.table.predict(Xs, lambda p: np.cumsum(
-            np.vstack([np.full((1, p.shape[1]), self.init), self.learning_rate * p]), axis=0)[-1])
-
-    def _state_dict(self):
-        return {"init": self.init, "learning_rate": self.learning_rate,
-                "trees": self.table.to_dicts()}
-
-    @classmethod
-    def _from_state(cls, spec, feature_mean, feature_scale, state):
-        return cls(spec, feature_mean, feature_scale, state["init"], state["learning_rate"],
-                   TreeTable.from_dicts(state["trees"]))
+        return np.cumsum(np.vstack([np.full((1, leaves.shape[1]), self.init),
+                                    self.learning_rate * leaves]), axis=0)[-1]
 
 
 def fit_decision_tree(spec: ModelSpec, Xs, y, mean, scale, *, max_depth) -> DecisionTreeModel:
     tree, _ = grow_trees(rank_columns(Xs), y, np.arange(len(y))[None], max_depth=max_depth)
-    return DecisionTreeModel(spec, mean, scale, tree.depth_first())
+    return DecisionTreeModel(spec, mean, scale, tree)
 
 
 def fit_forest(spec: ModelSpec, Xs, y, mean, scale, *, n_trees, max_depth,
@@ -393,7 +378,7 @@ def fit_forest(spec: ModelSpec, Xs, y, mean, scale, *, n_trees, max_depth,
     trees, _ = grow_trees(rank_columns(Xs), y, idx, max_depth=max_depth,
                           mtry=max(1, int(np.sqrt(d))), random_thresholds=random_thresholds,
                           rngs=rngs)
-    return ForestModel(spec, mean, scale, trees.depth_first())
+    return ForestModel(spec, mean, scale, trees)
 
 
 def fit_adaboost(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds, max_depth) -> AdaBoostModel:
@@ -425,7 +410,7 @@ def fit_adaboost(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds, max_depth) ->
         betas.append(beta)
         weights = weights * beta ** (1.0 - loss)
         weights = weights / weights.sum()
-    return AdaBoostModel(spec, mean, scale, TreeTable.stack(trees).depth_first(), betas)
+    return AdaBoostModel(spec, mean, scale, TreeTable.stack(trees), betas)
 
 
 def fit_gradient_boosting(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds,
@@ -439,5 +424,4 @@ def fit_gradient_boosting(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds,
         tree, fitted = grow_trees(cols, y - current, all_rows, max_depth=max_depth)
         current = current + learning_rate * fitted[0]
         trees.append(tree)
-    return GradientBoostingModel(spec, mean, scale, init, learning_rate,
-                                 TreeTable.stack(trees).depth_first())
+    return GradientBoostingModel(spec, mean, scale, init, learning_rate, TreeTable.stack(trees))

@@ -50,3 +50,24 @@ def _lookup(module: str, attr: str):
         cls, meth = attr.split(".")
         return vars(getattr(owner, cls))[meth]
     return getattr(owner, attr)
+
+
+def test_cv_path_fires_the_nested_pass_spans(tmp_path):
+    rng = np.random.default_rng(1)
+    n, k, inner_k, specs = 15, 3, 3, ["ols", "knn"]
+    dataset = HerdDataset(ids=[f"a{i}" for i in range(n)],
+                          features=rng.normal(size=(n, len(FEATURE_NAMES))),
+                          weights=rng.uniform(300.0, 600.0, n))
+    save_dataset_csv(dataset, tmp_path / "herd.csv")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"models": {"specs": specs},
+                                  "evaluation": {"k": k, "inner_k": inner_k}}))
+
+    tracer = spans.Tracer("test")
+    with spans.install(tracer):
+        assert herdweight.cli.main(["cv", str(tmp_path / "herd.csv"), "--sweep", "1..2", "--audit",
+                                    "--config", str(config), "--out", str(tmp_path / "cv")]) == 0
+    names = {name for _, name, *_ in tracer.spans}
+    assert {"cli.cv", "stacking.oof", "stacking.rank", "stacking.combiner"} <= names
+    # per outer fold: inner_k * S out-of-fold fits, then S fits on the outer training rows
+    assert tracer.counts["stacking.fits_total"] == k * (inner_k * len(specs) + len(specs))

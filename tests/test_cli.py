@@ -13,6 +13,7 @@ from herdweight import stacking
 from herdweight.cli import _write_ranking_csv, build_parser, main
 from herdweight.config import _SECTIONS, build_config, load_config, write_resolved_config
 from herdweight.dataset import HerdDataset, load_dataset_csv, save_dataset_csv
+from herdweight.errors import ConfigError
 from herdweight.evaluation import kfold_split
 from herdweight.features import FEATURE_NAMES, extract_feature_vector
 from herdweight.pointcloud import PLY_BINARY_LE, XYZ_ASCII, PointCloud, save_point_cloud
@@ -542,6 +543,18 @@ def test_fuse_sim_hostile_config_exits_cleanly(tmp_path, capsys, simulation, cod
         assert err.startswith("error: simulation step ")
 
 
+# Settings that must be numbers, given a bool or a string.
+_NOT_NUMBERS = [
+    ("fusion", {"beta": True}), ("fusion", {"epsilon": True}), ("fusion", {"beta": "1"}),
+    ("fusion", {"epsilon": "1e-8"}),
+    ("simulation", {"contraction": True}), ("simulation", {"contraction": "0.5"}),
+    ("simulation", {"schedule": {"sigma0": True}}), ("simulation", {"schedule": {"decay": True}}),
+    ("simulation", {"schedule": {"sigma0": "1"}}), ("simulation", {"schedule": {"decay": "0.5"}}),
+    ("simulation", {"schedule": {"kind": "constant", "sigma0": True}}),
+    ("cleaning", {"min_plane_fraction": "0.3"}),
+]
+
+
 @pytest.mark.parametrize("section, values", [
     ("evaluation", {"seed": -1}), ("evaluation", {"seed": 1.5}), ("evaluation", {"seed": True}),
     ("models", {"seed": -1}), ("models", {"seed": 1.5}),
@@ -551,6 +564,7 @@ def test_fuse_sim_hostile_config_exits_cleanly(tmp_path, capsys, simulation, cod
     ("cleaning", {"seed": -1}), ("cleaning", {"seed": 1.5}),
     ("cleaning", {"inlier_threshold": float("nan")}), ("cleaning", {"max_planes": 1.5}),
     ("cleaning", {"threshold_is_relative": "no"}),
+    *_NOT_NUMBERS,
 ], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v))
 def test_hostile_config_value_exits_cleanly(herd_csv, scene_dir, tmp_path, capsys, section, values):
     cfg = tmp_path / "c.json"
@@ -559,6 +573,14 @@ def test_hostile_config_value_exits_cleanly(herd_csv, scene_dir, tmp_path, capsy
     assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, values", _NOT_NUMBERS,
+                         ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_non_number_setting_names_its_section(section, values):
+    with pytest.raises(ConfigError) as raised:
+        build_config({section: values})
+    assert str(raised.value).startswith(section) and "not supported" not in str(raised.value)
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -601,6 +623,40 @@ def test_unreadable_input_or_unwritable_output_is_data_error(herd_csv, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
     assert "Traceback" not in err
+
+
+_OS_ERROR_REASONS = {"dataset-is-a-directory": "Is a directory",
+                     "missing-dataset": "No such file or directory",
+                     "missing-weights": "No such file or directory",
+                     "out-is-a-file": "File exists",
+                     "dangling-scan-symlink": "No such file or directory"}
+
+
+@pytest.mark.parametrize("kind", list(_OS_ERROR_REASONS))
+def test_os_error_line_names_the_path_once(tmp_path, capsys, kind):
+    out, named = tmp_path / "out", tmp_path / "named"
+    if kind == "dataset-is-a-directory":
+        named.mkdir()
+        argv = ["cv", str(named)]
+    elif kind == "missing-dataset":
+        argv = ["cv", str(named)]
+    elif kind == "missing-weights":
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        save_point_cloud(PointCloud(CUBE), scans / "cube.xyz", XYZ_ASCII)
+        argv = ["features", str(scans), str(named)]
+    elif kind == "out-is-a-file":
+        out = named
+        out.write_text("")
+        argv = ["fuse-sim"]
+    else:
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        named = scans / "c.xyz"
+        named.symlink_to(tmp_path / "nowhere.xyz")
+        argv = ["clean", str(scans)]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {named}: {_OS_ERROR_REASONS[kind]}\n"
 
 
 def test_unknown_config_key_is_usage_error(herd_csv, tmp_path, capsys):

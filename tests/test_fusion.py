@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from herdweight import fusion
+from herdweight.config import build_config
 from herdweight.errors import InvalidSchedule
 from herdweight.fusion import (
     CENTER_METHODS,
@@ -245,6 +246,12 @@ def test_schedule_validation():
 def test_schedule_helpers():
     np.testing.assert_allclose(geometric_schedule(2.0, 0.5, 4), [2.0, 1.0, 0.5, 0.25])
     np.testing.assert_array_equal(constant_schedule(0.3, 3), [0.3, 0.3, 0.3])
+
+
+def test_default_schedule_is_one_schedule():
+    schedules = [SimulationConfig().schedule, build_config({}).simulation.schedule,
+                 build_config({"simulation": {"schedule": {"kind": "geometric"}}}).simulation.schedule]
+    assert len({s.tobytes() for s in schedules}) == 1
 
 
 def test_zero_noise_trajectory_agreement_floor(monkeypatch):
