@@ -110,8 +110,29 @@ class TreeTable:
 
     @classmethod
     def from_dicts(cls, dicts) -> TreeTable:
-        return cls.stack([cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"], [0])
-                          for d in dicts])
+        """The trees of ``to_dicts`` dicts. A tree whose node lists differ in
+        length, or whose split has a child that is not a later node of the
+        tree, or whose leaf has a child other than -1, is a ValueError: such
+        a tree could send ``predict`` round a loop or out of the table."""
+        tables = [cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"], [0])
+                  for d in dicts]
+        for t in tables:
+            t._check_descent()
+        return cls.stack(tables)
+
+    def _check_descent(self) -> None:
+        """Raise ValueError unless this one-tree table is well formed."""
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value)
+        m = self.value.size
+        if m == 0 or any(a.shape != (m,) for a in arrays):
+            raise ValueError("a tree needs one or more nodes and node lists of one length")
+        node = np.arange(m)
+        later = (self.left > node) & (self.left < m) & (self.right > node) & (self.right < m)
+        ok = np.where(self.feature >= 0, later, (self.left == -1) & (self.right == -1))
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise ValueError(f"tree node {bad} has children {self.left[bad]} and {self.right[bad]};"
+                             " a split's must be later nodes of its tree, a leaf's -1")
 
     @classmethod
     def stack(cls, tables) -> TreeTable:

@@ -5,6 +5,9 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,6 +439,33 @@ def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
     reason = {b"{not json": "invalid JSON", b"\xff\xfe": "not UTF-8", b"\xff{}": "not UTF-8",
               b"[" * 200_000: "JSON nested too deep"}.get(content, "not a valid model file")
     assert err.startswith(f"error: {model}: {reason}") and err.count("\n") == 1
+
+
+GOLDEN_TREE = Path(__file__).parent / "golden_models" / "decision_tree.json"
+
+
+@pytest.mark.parametrize("node, left, right", [(0, 0, 0), (1, 3, 10**6), (0, -1, 2)],
+                         ids=["self-loop", "out-of-range", "leaf-child-under-split"])
+def test_predict_malformed_tree_is_data_error(tmp_path, node, left, right):
+    """A tree whose descent could loop or leave the table is refused at
+    load time: exit 1 with one error line, not a hang or a traceback."""
+    payload = json.loads(GOLDEN_TREE.read_text())
+    tree = payload["models"][0]["state"]["tree"]
+    tree["left"][node], tree["right"][node] = left, right
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    features = tmp_path / "features.csv"
+    features.write_text(",".join(["animal_id", *FEATURE_NAMES]) + "\n"
+                        + ",".join(["x", *["1.0"] * len(FEATURE_NAMES)]) + "\n")
+    src = Path(stacking.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "herdweight.cli", "predict", str(model), str(features),
+                           "--out", str(tmp_path / "p")], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {model}: not a valid model file") and done.stderr.count("\n") == 1
+    assert f"tree node {node} has children" in done.stderr
 
 
 @pytest.mark.parametrize("content, message", [
