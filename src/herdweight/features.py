@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import CoplanarCloud, DegenerateCloud, HerdWeightError, TooFewPoints
 from .pointcloud import as_points
@@ -136,8 +135,12 @@ def convex_hull(cloud) -> HullSummary:
     """Exact convex hull summary.
 
     Volume is the sum of tetrahedra spanned from the hull centroid to each
-    triangular facet; surface area is the sum of facet areas.
+    triangular facet; surface area is the sum of facet areas. scipy.spatial
+    is imported here, not with the module, so that a process that builds no
+    hull does not load it.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = as_points(cloud)
     if pts.shape[0] < 4:
         raise TooFewPoints(f"a 3D hull needs >= 4 points, got {pts.shape[0]}")

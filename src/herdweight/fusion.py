@@ -10,18 +10,20 @@ update; beta sharpens or flattens that selection.
 
 A surrogate trajectory simulator drives the kernel over a decaying noise
 schedule and emits per-step, per-view mean agreement and weight curves
-as a CSV trace.
+as a CSV trace. One worker thread draws the next step's noise while the
+current step fuses, so two (V, L, D) update sets are resident at a time.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidSchedule, NonFiniteInput, check_number
+from .errors import HerdWeightError, InvalidSchedule, NonFiniteInput, check_number
 from .files import output
 
 CENTER_METHODS = ("mean", "median")
@@ -245,26 +247,40 @@ class TrajectoryTrace:
 def simulate_trajectory(config: SimulationConfig) -> TrajectoryTrace:
     """Run the surrogate update process and fuse every step.
 
-    Only the mean curves and the state outlive a step, so memory does not
-    grow with the step count. A step whose updates or state overflow to
-    NaN or Inf raises NonFiniteInput naming that step.
+    One worker thread draws step t+1's standard normals into a second
+    buffer while this thread scales step t's, adds the clean update and
+    the biases, fuses them and advances the state. The drawing is the
+    critical path, so the worker does nothing else. The generator is
+    drawn in the same order as by a serial loop (target, then each step's
+    noise), so the trace is the same to the last bit. Two update sets are
+    resident, plus the state; only the mean curves and the state outlive
+    a step, so memory does not grow with the step count. A step whose
+    updates or state overflow to NaN or Inf raises NonFiniteInput naming
+    that step, and the worker has stopped by the time anything is raised.
     """
     views, locations, channels = config.views, config.locations, config.channels
+    try:
+        # the two noise buffers first: they are the largest allocations
+        buffers = [np.empty((views, locations, channels)) for _ in range(2)]
+        bias = np.zeros(views) if config.view_bias is None else config.view_bias
+        state = np.zeros((locations, channels))
+        mean_agreement = np.empty((config.steps, views))
+        mean_weight = np.empty((config.steps, views))
+    except (MemoryError, ValueError):   # ValueError: more bytes than numpy can address
+        raise HerdWeightError(f"simulation of {views} views x {locations} locations x "
+                              f"{channels} channels does not fit in memory") from None
     rng = np.random.default_rng(config.seed)
-    bias = config.view_bias
-    if bias is None:
-        bias = np.zeros(views)
-    state = np.zeros((locations, channels))
-    mean_agreement = np.empty((config.steps, views))
-    mean_weight = np.empty((config.steps, views))
-    noise = np.empty((views, locations, channels))
     # Overflow shows up as non-finite values, reported below with the step.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(1) as drawer:
         target = config.target_scale * rng.normal(size=(locations, channels))
+        # from here on only the drawer touches rng, one step at a time
+        pending = drawer.submit(rng.standard_normal, out=buffers[0])
         for t in range(config.steps):
-            clean = config.contraction * (target - state)
+            noise = pending.result()
+            if t + 1 < config.steps:
+                pending = drawer.submit(rng.standard_normal, out=buffers[(t + 1) % 2])
             # (clean + bias) + schedule * noise, built in the noise buffer
-            rng.standard_normal(out=noise)
+            clean = config.contraction * (target - state)
             noise *= config.schedule[t]
             for v in range(views):
                 noise[v] += clean + bias[v]

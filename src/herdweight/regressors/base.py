@@ -102,7 +102,7 @@ class FittedModel:
 
     @property
     def n_features(self) -> int:
-        return self.feature_mean.shape[0]
+        return self.feature_mean.size
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -119,6 +119,12 @@ class FittedModel:
 
     def _state_dict(self) -> dict:
         raise NotImplementedError
+
+    def _check_state(self) -> None:
+        """Raise ValueError, naming the field, unless every state array has
+        the shape the feature count (and a subclass's own counts) give it."""
+        expect_shape("feature_mean", self.feature_mean, (self.n_features,))
+        expect_shape("feature_scale", self.feature_scale, (self.n_features,))
 
     @classmethod
     def _from_state(cls, spec: ModelSpec, feature_mean, feature_scale, state: dict) -> FittedModel:
@@ -184,14 +190,27 @@ def spec_from_dict(d: dict) -> ModelSpec:
                      seed=int(d.get("seed", 0)))
 
 
+def expect_shape(field: str, value: np.ndarray, shape: tuple) -> None:
+    if value.shape != shape:
+        raise ValueError(f"{field} has shape {value.shape}, expected {shape}")
+
+
 def model_from_dict(d: dict) -> FittedModel:
-    """Inverse of ``FittedModel.to_dict``."""
+    """Inverse of ``FittedModel.to_dict``. Malformed state, such as an
+    array whose shape does not fit the feature count, is a ValueError that
+    names the member and the field."""
     try:
         cls = _MODEL_KINDS[d["kind"]]
     except KeyError:
         raise ValueError(f"unknown model kind {d.get('kind')!r}") from None
-    return cls._from_state(spec_from_dict(d["spec"]), np.array(d["feature_mean"]),
-                           np.array(d["feature_scale"]), d["state"])
+    spec = spec_from_dict(d["spec"])
+    try:
+        model = cls._from_state(spec, np.array(d["feature_mean"]), np.array(d["feature_scale"]),
+                                d["state"])
+        model._check_state()
+    except ValueError as exc:
+        raise ValueError(f"member {spec.name!r}: {exc}") from None
+    return model
 
 
 class Family(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec
+from .base import FittedModel, ModelSpec, expect_shape
 
 
 class LinearModel(FittedModel):
@@ -36,6 +36,10 @@ class LinearModel(FittedModel):
 
     def _state_dict(self):
         return {"coef": self.coef.tolist(), "intercept": self.intercept}
+
+    def _check_state(self):
+        super()._check_state()
+        expect_shape("coef", self.coef, (self.n_features,))
 
 
 def fit_ols(spec: ModelSpec, Xs, y, mean, scale) -> LinearModel:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec
+from .base import FittedModel, ModelSpec, expect_shape
 
 
 class KNNModel(FittedModel):
@@ -32,6 +32,13 @@ class KNNModel(FittedModel):
 
     def _state_dict(self):
         return {"train_std": self.train_std.tolist(), "targets": self.targets.tolist(), "k": self.k}
+
+    def _check_state(self):
+        super()._check_state()
+        expect_shape("targets", self.targets, (self.targets.size,))
+        expect_shape("train_std", self.train_std, (self.targets.size, self.n_features))
+        if self.k < 1 or self.targets.size < 1:
+            raise ValueError(f"k is {self.k} with {self.targets.size} targets; both must be >= 1")
 
 
 def fit_knn(spec: ModelSpec, Xs, y, mean, scale, *, k: int) -> KNNModel:

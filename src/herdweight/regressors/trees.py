@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec
+from .base import FittedModel, ModelSpec, expect_shape
 
 _CHUNK = 1 << 18   # cells per chunk of nodes or of rows: bounds the working memory
 
@@ -302,10 +302,12 @@ class TreeModel(FittedModel):
     (n_trees, rows) array, ``_combine`` turns into predictions.
 
     ``_state_keys`` orders both the model.json state and the constructor's
-    arguments after the scaling: "trees" is the table, any other key numbers.
+    arguments after the scaling: "trees" is the table, any other key numbers,
+    one per tree for the keys in ``_per_tree`` and a single one otherwise.
     """
 
     _state_keys = ("trees",)
+    _per_tree: tuple[str, ...] = ()
 
     def __init__(self, spec, feature_mean, feature_scale, *state):
         super().__init__(spec, feature_mean, feature_scale)
@@ -320,6 +322,16 @@ class TreeModel(FittedModel):
     def _state_dict(self):
         return {key: self.table.to_dicts() if key == "trees" else getattr(self, key).tolist()
                 for key in self._state_keys}
+
+    def _check_state(self):
+        super()._check_state()
+        for key in self._state_keys:
+            if key != "trees":
+                shape = (self.table.roots.size,) if key in self._per_tree else ()
+                expect_shape(key, getattr(self, key), shape)
+        if (self.table.feature >= self.n_features).any():
+            raise ValueError(f"a tree splits on feature {self.table.feature.max()}, "
+                             f"but the model has {self.n_features} features")
 
     @classmethod
     def _from_state(cls, spec, feature_mean, feature_scale, state):
@@ -361,6 +373,7 @@ class AdaBoostModel(TreeModel):
 
     kind = "adaboost"
     _state_keys = ("trees", "betas")
+    _per_tree = ("betas",)
 
     def _combine(self, leaves):
         alpha = np.log(1.0 / self.betas)

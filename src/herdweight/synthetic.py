@@ -9,7 +9,6 @@ accuracy can be judged against the generator.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .pointcloud import PointCloud
 
@@ -48,6 +47,8 @@ def make_herd(n_animals: int = 100, points_per_animal: int = 2000, seed: int = 0
     Weight labels use the hull volume straight from qhull, independent of
     the feature pipeline's own volume computation.
     """
+    from scipy.spatial import ConvexHull   # here, as in features.convex_hull
+
     rng = np.random.default_rng(seed)
     ids, clouds, weights = [], [], []
     for i in range(n_animals):

@@ -444,6 +444,20 @@ def test_predict_bad_model_json_is_data_error(tmp_path, capsys, content):
 GOLDEN_TREE = Path(__file__).parent / "golden_models" / "decision_tree.json"
 
 
+def _env_with_package() -> dict:
+    """The environment, with the package under test first on PYTHONPATH."""
+    src = Path(stacking.__file__).resolve().parent.parent
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+def _one_feature_row(tmp_path) -> Path:
+    features = tmp_path / "features.csv"
+    features.write_text(",".join(["animal_id", *FEATURE_NAMES]) + "\n"
+                        + ",".join(["x", *["1.0"] * len(FEATURE_NAMES)]) + "\n")
+    return features
+
+
 @pytest.mark.parametrize("node, left, right", [(0, 0, 0), (1, 3, 10**6), (0, -1, 2)],
                          ids=["self-loop", "out-of-range", "leaf-child-under-split"])
 def test_predict_malformed_tree_is_data_error(tmp_path, node, left, right):
@@ -454,18 +468,48 @@ def test_predict_malformed_tree_is_data_error(tmp_path, node, left, right):
     tree["left"][node], tree["right"][node] = left, right
     model = tmp_path / "model.json"
     model.write_text(json.dumps(payload))
-    features = tmp_path / "features.csv"
-    features.write_text(",".join(["animal_id", *FEATURE_NAMES]) + "\n"
-                        + ",".join(["x", *["1.0"] * len(FEATURE_NAMES)]) + "\n")
-    src = Path(stacking.__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    features = _one_feature_row(tmp_path)
     done = subprocess.run([sys.executable, "-m", "herdweight.cli", "predict", str(model), str(features),
-                           "--out", str(tmp_path / "p")], capture_output=True, text=True, env=env,
-                          timeout=60)
+                           "--out", str(tmp_path / "p")], capture_output=True, text=True,
+                          env=_env_with_package(), timeout=60)
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: {model}: not a valid model file") and done.stderr.count("\n") == 1
     assert f"tree node {node} has children" in done.stderr
+
+
+@pytest.mark.parametrize("family, edit, message", [
+    ("ols", lambda s: s.update(coef=[1.0, 2.0, 3.0]), "coef has shape (3,), expected (32,)"),
+    ("adaboost", lambda s: s.update(betas=0.5), "betas has shape (), expected (3,)"),
+    ("gradient_boosting", lambda s: s.update(init=[400.0, 500.0]),
+     "init has shape (2,), expected ()"),
+    ("knn", lambda s: s.update(targets=[[500.0]]), "targets has shape (1, 1), expected (1,)"),
+    ("knn", lambda s: s.update(k=0), "k is 0 with 16 targets; both must be >= 1"),
+    ("decision_tree", lambda s: s["tree"]["feature"].__setitem__(0, 32),
+     "a tree splits on feature 32, but the model has 32 features"),
+], ids=["ols-coef", "adaboost-betas", "gradient_boosting-init", "knn-targets", "knn-k-0",
+        "tree-feature"])
+def test_predict_malformed_member_state_is_data_error(tmp_path, capsys, family, edit, message):
+    """A member state that does not fit the feature or tree count is
+    refused at load time, naming the member and the field."""
+    payload = json.loads((GOLDEN_TREE.parent / f"{family}.json").read_text())
+    edit(payload["models"][0]["state"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    features = _one_feature_row(tmp_path)
+    assert main(["predict", str(model), str(features), "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: not a valid model file") and err.count("\n") == 1
+    assert f"member {family!r}: {message}" in err
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    """Only hull building needs scipy.spatial; importing the CLI must not
+    load it, since every command pays for what the import loads."""
+    done = subprocess.run([sys.executable, "-c",
+                           "import herdweight.cli, sys; print('scipy.spatial' in sys.modules)"],
+                          capture_output=True, text=True, env=_env_with_package(), timeout=60,
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("content, message", [
@@ -571,6 +615,16 @@ def test_fuse_sim_hostile_config_exits_cleanly(tmp_path, capsys, simulation, cod
         assert err.startswith("config error: simulation")
     else:
         assert err.startswith("error: simulation step ")
+
+
+@pytest.mark.parametrize("views", [10**12, 10**18])
+def test_fuse_sim_too_large_to_allocate_is_data_error(tmp_path, capsys, views):
+    """Sizes whose buffers exceed any address space, so that the first
+    allocation fails outright (10**18 views is past numpy's byte count)."""
+    assert main(["fuse-sim", "--out", str(tmp_path / "o"), "--views", str(views)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: simulation of {views} views x 64 locations x 8 channels "
+                   "does not fit in memory\n")
 
 
 # Settings that must be numbers, given a bool or a string.

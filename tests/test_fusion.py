@@ -1,14 +1,16 @@
 """Fusion algebra, limiting behaviour, and the trajectory simulator."""
 
 import math
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from herdweight import fusion
 from herdweight.config import build_config
-from herdweight.errors import InvalidSchedule
+from herdweight.errors import InvalidSchedule, NonFiniteInput
 from herdweight.fusion import (
     CENTER_METHODS,
     FusionParams,
@@ -341,3 +343,76 @@ def test_view_update_set_validation():
         with pytest.raises(ValueError):
             SimulationConfig(**bad)
     assert SimulationConfig(views=np.int64(2), steps=np.int32(3)).views == 2
+
+
+def serial_trajectory(cfg):
+    """The simulator as one serial loop, each step drawing its own noise:
+    the oracle for the pipelined simulate_trajectory. Returns the mean
+    curves and the final state."""
+    rng = np.random.default_rng(cfg.seed)
+    bias = np.zeros(cfg.views) if cfg.view_bias is None else cfg.view_bias
+    state = np.zeros((cfg.locations, cfg.channels))
+    mean_agreement = np.empty((cfg.steps, cfg.views))
+    mean_weight = np.empty((cfg.steps, cfg.views))
+    noise = np.empty((cfg.views, cfg.locations, cfg.channels))
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = cfg.target_scale * rng.normal(size=(cfg.locations, cfg.channels))
+        for t in range(cfg.steps):
+            clean = cfg.contraction * (target - state)
+            rng.standard_normal(out=noise)
+            noise *= cfg.schedule[t]
+            for v in range(cfg.views):
+                noise[v] += clean + bias[v]
+            try:
+                updates = ViewUpdateSet(noise)
+            except ValueError as exc:
+                raise NonFiniteInput(f"simulation step {t}: {exc}") from None
+            res = agreement_fuse(updates, cfg.params)
+            state += res.fused
+            if not np.isfinite(state).all():
+                raise NonFiniteInput(f"simulation step {t}: state overflowed to NaN or Inf")
+            mean_agreement[t] = res.agreement.mean(axis=1)
+            mean_weight[t] = res.weights.mean(axis=1)
+    return mean_agreement, mean_weight, state
+
+
+@pytest.mark.parametrize("settings", [
+    {"views": 1},
+    {"steps": 1},
+    {"steps": 2},
+    {"params": FusionParams(center="median")},
+    {"params": FusionParams(beta=0.0)},
+    {"views": 8, "locations": 512, "channels": 16, "steps": 6, "seed": 1},  # the bench shape, scaled
+    {"view_bias": np.array([0.3, 0.0, -0.2]), "schedule": constant_schedule(0.05, 60)},
+], ids=["views-1", "steps-1", "steps-2", "median", "beta-0", "bench-scaled", "bias"])
+def test_pipelined_trajectory_matches_serial_loop_bit_for_bit(settings):
+    cfg = SimulationConfig(**{"seed": 4, **settings})
+    trace = simulate_trajectory(cfg)
+    mean_agreement, mean_weight, state = serial_trajectory(cfg)
+    np.testing.assert_array_equal(trace.mean_agreement, mean_agreement)
+    np.testing.assert_array_equal(trace.mean_weight, mean_weight)
+    np.testing.assert_array_equal(trace.final_state, state)
+
+
+@pytest.mark.parametrize("settings", [
+    {"view_bias": np.array([1e306, 0.0])},
+    {"view_bias": np.array([4e307, 4e307, 4e307])},
+    {"schedule": constant_schedule(1e308, 40)},
+], ids=["bias-fails-at-step-0", "bias-fails-at-step-10", "schedule-overflows"])
+def test_failing_step_matches_serial_loop_and_stops_the_worker(settings):
+    """The same step fails with the same message, and no drawing thread
+    outlives the error. Warnings are errors here, as in the suite's
+    settings, so an overflow warning from arithmetic on the drawing thread,
+    which np.errstate does not reach, would fail the step with a
+    RuntimeWarning instead."""
+    cfg = SimulationConfig(**{"views": len(settings.get("view_bias", [0] * 3)), "locations": 8,
+                              "channels": 4, "steps": 40, "seed": 2, **settings})
+    with pytest.raises(NonFiniteInput) as expected:
+        serial_trajectory(cfg)
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput) as got:
+            simulate_trajectory(cfg)
+    assert str(got.value) == str(expected.value)
+    assert threading.active_count() == threads
