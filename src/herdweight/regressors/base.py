@@ -57,6 +57,8 @@ def default_model_specs(seed: int = 0) -> list[ModelSpec]:
 
 _check_int = partial(check_number, integer=True, error=InvalidHyperparameter)
 
+TABLE = "table"   # the state shape that stands for a kind's TreeTable
+
 
 def validate_spec(spec: ModelSpec) -> None:
     """Raise InvalidHyperparameter for unknown families/keys or bad ranges."""
@@ -90,15 +92,27 @@ class FittedModel:
     """A trained model: spec, standardisation stats, family parameters.
 
     Immutable after fit; predict is deterministic. Subclasses implement
-    ``_predict_std`` on standardised inputs (identity stats for trees).
+    ``_predict_std`` on standardised inputs (identity stats for trees), and
+    declare ``_state``: its keys in constructor and model.json order, each
+    with a shape, from which alone this class builds, writes and checks the
+    state. A shape is a tuple of sizes: "d" features, "t" trees or "n" rows,
+    set by the first array of fewest dimensions with an "n"; ``()`` is one
+    number. Such state is float64; ``int`` declares one integer instead,
+    and ``TABLE`` the kind's TreeTable, kept as ``table``.
     """
 
     kind = "base"
+    _state: Mapping[str, tuple | type | str] = {}
 
-    def __init__(self, spec: ModelSpec, feature_mean: np.ndarray, feature_scale: np.ndarray):
+    def __init__(self, spec: ModelSpec, feature_mean, feature_scale, *state):
         self.spec = spec
         self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
         self.feature_scale = np.asarray(feature_scale, dtype=np.float64)
+        for (key, shape), value in zip(self._state.items(), state, strict=True):
+            if shape is TABLE:
+                self.table = value
+            else:
+                setattr(self, key, np.asarray(value, dtype=np.intp if shape is int else np.float64))
 
     @property
     def n_features(self) -> int:
@@ -118,19 +132,42 @@ class FittedModel:
         raise NotImplementedError
 
     def _state_dict(self) -> dict:
-        raise NotImplementedError
+        return {key: self.table.to_dicts() if shape is TABLE else getattr(self, key).tolist()
+                for key, shape in self._state.items()}
 
     def _check_state(self) -> None:
         """Raise ValueError, naming the field, unless every state array has
-        the shape the feature count (and a subclass's own counts) give it."""
-        expect_shape("feature_mean", self.feature_mean, (self.n_features,))
-        expect_shape("feature_scale", self.feature_scale, (self.n_features,))
+        its declared shape, every scale is positive and every tree splits
+        on one of the features."""
+        sizes = {"d": self.n_features}
+        if TABLE in self._state.values():
+            sizes["t"] = self.table.roots.size
+            if (self.table.feature >= self.n_features).any():
+                raise ValueError(f"a tree splits on feature {self.table.feature.max()}, "
+                                 f"but the model has {self.n_features} features")
+        shapes = {"feature_mean": ("d",), "feature_scale": ("d",),
+                  **{key: () if shape is int else shape
+                     for key, shape in self._state.items() if shape is not TABLE}}
+        for key, shape in sorted(shapes.items(), key=lambda item: len(item[1])):
+            got = getattr(self, key).shape
+            sizes.update((letter, size) for letter, size in zip(shape, got) if letter not in sizes)
+            want = tuple(sizes.get(letter, letter) for letter in shape)
+            if got != want:
+                raise ValueError(f"{key} has shape {got}, expected {want}")
+        if (self.feature_scale <= 0).any():
+            raise ValueError("feature_scale must be > 0")
 
     @classmethod
     def _from_state(cls, spec: ModelSpec, feature_mean, feature_scale, state: dict) -> FittedModel:
-        """Inverse of ``_state_dict``; by default its keys are the
-        constructor's remaining arguments."""
-        return cls(spec, feature_mean, feature_scale, **state)
+        """Inverse of ``_state_dict``. A key that is missing or unknown, or
+        state other than finite numbers, is a ValueError naming it."""
+        for key in sorted(set(state) ^ set(cls._state)):
+            raise ValueError(f"state key {key!r} is {'missing' if key in cls._state else 'unknown'}")
+        return cls(spec, as_numbers("feature_mean", feature_mean),
+                   as_numbers("feature_scale", feature_scale),
+                   *(trees.TreeTable.from_dicts(state[key]) if shape is TABLE
+                     else as_numbers(key, state[key], integer=shape is int)
+                     for key, shape in cls._state.items()))
 
     def to_dict(self) -> dict:
         """JSON-ready serialisation; floats keep full precision via repr."""
@@ -138,6 +175,18 @@ class FittedModel:
                 "feature_mean": self.feature_mean.tolist(),
                 "feature_scale": self.feature_scale.tolist(),
                 "state": self._state_dict()}
+
+
+def as_numbers(field: str, value, integer: bool = False) -> np.ndarray:
+    """``value`` as an array; a ValueError naming ``field`` unless it holds
+    only finite numbers, or only integers if ``integer``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:   # ragged lists
+        array = np.asarray(None)
+    if array.dtype.kind not in ("iu" if integer else "iuf") or not np.isfinite(array).all():
+        raise ValueError(f"{field} must hold only finite {'integers' if integer else 'numbers'}")
+    return array
 
 
 def _standardisation(X: np.ndarray, identity: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -190,11 +239,6 @@ def spec_from_dict(d: dict) -> ModelSpec:
                      seed=int(d.get("seed", 0)))
 
 
-def expect_shape(field: str, value: np.ndarray, shape: tuple) -> None:
-    if value.shape != shape:
-        raise ValueError(f"{field} has shape {value.shape}, expected {shape}")
-
-
 def model_from_dict(d: dict) -> FittedModel:
     """Inverse of ``FittedModel.to_dict``. Malformed state, such as an
     array whose shape does not fit the feature count, is a ValueError that
@@ -205,8 +249,7 @@ def model_from_dict(d: dict) -> FittedModel:
         raise ValueError(f"unknown model kind {d.get('kind')!r}") from None
     spec = spec_from_dict(d["spec"])
     try:
-        model = cls._from_state(spec, np.array(d["feature_mean"]), np.array(d["feature_scale"]),
-                                d["state"])
+        model = cls._from_state(spec, d["feature_mean"], d["feature_scale"], d["state"])
         model._check_state()
     except ValueError as exc:
         raise ValueError(f"member {spec.name!r}: {exc}") from None

@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec, expect_shape
+from .base import FittedModel, ModelSpec
 
 
 class LinearModel(FittedModel):
     """Affine predictor in standardised feature space."""
 
     kind = "linear"
-
-    def __init__(self, spec, feature_mean, feature_scale, coef, intercept):
-        super().__init__(spec, feature_mean, feature_scale)
-        self.coef = np.asarray(coef, dtype=np.float64)
-        self.intercept = float(intercept)
+    _state = {"coef": ("d",), "intercept": ()}
 
     def _predict_std(self, Xs):
         return Xs @ self.coef + self.intercept
@@ -33,13 +29,6 @@ class LinearModel(FittedModel):
         slope = self.coef / self.feature_scale
         intercept = self.intercept - float(slope @ self.feature_mean)
         return slope, intercept
-
-    def _state_dict(self):
-        return {"coef": self.coef.tolist(), "intercept": self.intercept}
-
-    def _check_state(self):
-        super()._check_state()
-        expect_shape("coef", self.coef, (self.n_features,))
 
 
 def fit_ols(spec: ModelSpec, Xs, y, mean, scale) -> LinearModel:

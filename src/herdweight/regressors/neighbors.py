@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec, expect_shape
+from .base import FittedModel, ModelSpec
 
 
 class KNNModel(FittedModel):
@@ -16,12 +16,7 @@ class KNNModel(FittedModel):
     """
 
     kind = "knn"
-
-    def __init__(self, spec, feature_mean, feature_scale, train_std, targets, k):
-        super().__init__(spec, feature_mean, feature_scale)
-        self.train_std = np.asarray(train_std, dtype=np.float64)
-        self.targets = np.asarray(targets, dtype=np.float64)
-        self.k = int(k)
+    _state = {"train_std": ("n", "d"), "targets": ("n",), "k": int}
 
     def _predict_std(self, Xs):
         k_eff = min(self.k, self.train_std.shape[0])
@@ -30,13 +25,8 @@ class KNNModel(FittedModel):
         order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
         return self.targets[order].mean(axis=1)
 
-    def _state_dict(self):
-        return {"train_std": self.train_std.tolist(), "targets": self.targets.tolist(), "k": self.k}
-
     def _check_state(self):
         super()._check_state()
-        expect_shape("targets", self.targets, (self.targets.size,))
-        expect_shape("train_std", self.train_std, (self.targets.size, self.n_features))
         if self.k < 1 or self.targets.size < 1:
             raise ValueError(f"k is {self.k} with {self.targets.size} targets; both must be >= 1")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedModel, ModelSpec, expect_shape
+from .base import TABLE, FittedModel, ModelSpec, as_numbers
 
 _CHUNK = 1 << 18   # cells per chunk of nodes or of rows: bounds the working memory
 
@@ -110,29 +110,37 @@ class TreeTable:
 
     @classmethod
     def from_dicts(cls, dicts) -> TreeTable:
-        """The trees of ``to_dicts`` dicts. A tree whose node lists differ in
-        length, or whose split has a child that is not a later node of the
-        tree, or whose leaf has a child other than -1, is a ValueError: such
-        a tree could send ``predict`` round a loop or out of the table."""
-        tables = [cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"], [0])
-                  for d in dicts]
+        """The trees of ``to_dicts`` dicts. A dict that does not hold one tree
+        is a ValueError: it could send ``predict`` round a loop or out of the
+        table. So node lists are of one length, features and children
+        integers, thresholds and values finite; a leaf's feature and
+        children are -1, a split's children later nodes, and every node but
+        the root is the child of exactly one split."""
+        tables = [cls(*(as_numbers(f"tree {i} {key}", d[key], integer=key in ("feature", "left", "right"))
+                        for key in ("feature", "threshold", "left", "right", "value")), [0])
+                  for i, d in enumerate(dicts)]
         for t in tables:
             t._check_descent()
         return cls.stack(tables)
 
     def _check_descent(self) -> None:
-        """Raise ValueError unless this one-tree table is well formed."""
+        """Raise ValueError unless this one-tree table holds one tree."""
         arrays = (self.feature, self.threshold, self.left, self.right, self.value)
         m = self.value.size
         if m == 0 or any(a.shape != (m,) for a in arrays):
             raise ValueError("a tree needs one or more nodes and node lists of one length")
-        node = np.arange(m)
+        node, split = np.arange(m), self.feature >= 0
         later = (self.left > node) & (self.left < m) & (self.right > node) & (self.right < m)
-        ok = np.where(self.feature >= 0, later, (self.left == -1) & (self.right == -1))
+        ok = np.where(split, later, (self.feature == -1) & (self.left == -1) & (self.right == -1))
         if not ok.all():
             bad = int(np.argmin(ok))
-            raise ValueError(f"tree node {bad} has children {self.left[bad]} and {self.right[bad]};"
-                             " a split's must be later nodes of its tree, a leaf's -1")
+            raise ValueError(f"tree node {bad} has children {self.left[bad]} and {self.right[bad]} and"
+                             f" feature {self.feature[bad]}; a split's children must be later nodes,"
+                             " a leaf's feature and children -1")
+        parents = np.bincount(np.concatenate([self.left[split], self.right[split]]), minlength=m)
+        if (parents[1:] != 1).any():
+            bad = 1 + int(np.argmax(parents[1:] != 1))
+            raise ValueError(f"tree node {bad} is the child of {parents[bad]} splits, not of one")
 
     @classmethod
     def stack(cls, tables) -> TreeTable:
@@ -299,48 +307,17 @@ def _node_sums(yv, sizes, pos):
 
 class TreeModel(FittedModel):
     """Trees in one TreeTable whose leaf values for a block of rows, an
-    (n_trees, rows) array, ``_combine`` turns into predictions.
+    (n_trees, rows) array, ``_combine`` turns into predictions."""
 
-    ``_state_keys`` orders both the model.json state and the constructor's
-    arguments after the scaling: "trees" is the table, any other key numbers,
-    one per tree for the keys in ``_per_tree`` and a single one otherwise.
-    """
-
-    _state_keys = ("trees",)
-    _per_tree: tuple[str, ...] = ()
-
-    def __init__(self, spec, feature_mean, feature_scale, *state):
-        super().__init__(spec, feature_mean, feature_scale)
-        values = dict(zip(self._state_keys, state, strict=True))
-        self.table = values.pop("trees")
-        for key, value in values.items():
-            setattr(self, key, np.asarray(value, dtype=np.float64))
+    _state = {"trees": TABLE}
 
     def _predict_std(self, Xs):
         return self.table.predict(Xs, self._combine)
 
-    def _state_dict(self):
-        return {key: self.table.to_dicts() if key == "trees" else getattr(self, key).tolist()
-                for key in self._state_keys}
-
-    def _check_state(self):
-        super()._check_state()
-        for key in self._state_keys:
-            if key != "trees":
-                shape = (self.table.roots.size,) if key in self._per_tree else ()
-                expect_shape(key, getattr(self, key), shape)
-        if (self.table.feature >= self.n_features).any():
-            raise ValueError(f"a tree splits on feature {self.table.feature.max()}, "
-                             f"but the model has {self.n_features} features")
-
-    @classmethod
-    def _from_state(cls, spec, feature_mean, feature_scale, state):
-        state = {**state, "trees": TreeTable.from_dicts(state["trees"])}
-        return cls(spec, feature_mean, feature_scale, *(state[key] for key in cls._state_keys))
-
 
 class DecisionTreeModel(TreeModel):
     kind = "decision_tree"
+    _state = {"tree": TABLE}
 
     def _combine(self, leaves):
         return leaves[0]
@@ -350,7 +327,9 @@ class DecisionTreeModel(TreeModel):
 
     @classmethod
     def _from_state(cls, spec, feature_mean, feature_scale, state):
-        return cls(spec, feature_mean, feature_scale, TreeTable.from_dicts([state["tree"]]))
+        if "tree" in state:
+            state = {**state, "tree": [state["tree"]]}
+        return super()._from_state(spec, feature_mean, feature_scale, state)
 
 
 class ForestModel(TreeModel):
@@ -363,6 +342,11 @@ class ForestModel(TreeModel):
 
     kind = "forest"
 
+    def _check_state(self):
+        super()._check_state()
+        if not self.table.roots.size:
+            raise ValueError("trees is empty; a forest needs one tree or more")
+
     def _combine(self, leaves):
         # cumsum keeps the tree-by-tree summation order
         return np.cumsum(leaves, axis=0)[-1] / leaves.shape[0]
@@ -372,8 +356,15 @@ class AdaBoostModel(TreeModel):
     """AdaBoost.R2: weighted-median combination of resampled trees."""
 
     kind = "adaboost"
-    _state_keys = ("trees", "betas")
-    _per_tree = ("betas",)
+    _state = {"trees": TABLE, "betas": ("t",)}
+
+    def _check_state(self):
+        super()._check_state()
+        outside = (self.betas <= 0) | (self.betas >= 1)
+        if outside.any():
+            raise ValueError(f"betas must lie in (0, 1), got {self.betas[outside][0]}")
+        if not self.betas.size:
+            raise ValueError("trees is empty; adaboost needs one tree or more")
 
     def _combine(self, leaves):
         alpha = np.log(1.0 / self.betas)
@@ -388,7 +379,7 @@ class GradientBoostingModel(TreeModel):
     """Squared-loss boosting: mean target plus shrunken residual trees."""
 
     kind = "gradient_boosting"
-    _state_keys = ("init", "learning_rate", "trees")
+    _state = {"init": (), "learning_rate": (), "trees": TABLE}
 
     def _combine(self, leaves):
         # cumsum keeps the round-by-round summation order

@@ -458,14 +458,26 @@ def _one_feature_row(tmp_path) -> Path:
     return features
 
 
-@pytest.mark.parametrize("node, left, right", [(0, 0, 0), (1, 3, 10**6), (0, -1, 2)],
-                         ids=["self-loop", "out-of-range", "leaf-child-under-split"])
-def test_predict_malformed_tree_is_data_error(tmp_path, node, left, right):
-    """A tree whose descent could loop or leave the table is refused at
-    load time: exit 1 with one error line, not a hang or a traceback."""
+def _set_node(node, **lists):
+    """An edit of a tree dict that sets ``node``'s entry in each named list."""
+    return lambda tree: [tree[key].__setitem__(node, value) for key, value in lists.items()]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_node(0, left=0, right=0), "tree node 0 has children"),
+    (_set_node(1, left=3, right=10**6), "tree node 1 has children"),
+    (_set_node(0, left=-1, right=2), "tree node 0 has children"),
+    (_set_node(0, left=3, right=3), "tree node 1 is the child of 0 splits, not of one"),
+    (_set_node(0, feature=1.5), "tree 0 feature must hold only finite integers"),
+    (_set_node(7, feature=-5), "tree node 7 has children -1 and -1 and feature -5"),
+], ids=["self-loop", "out-of-range", "leaf-child-under-split", "shared-child", "fractional-feature",
+        "leaf-feature-not-minus-one"])
+def test_predict_malformed_tree_is_data_error(tmp_path, edit, message):
+    """A tree whose descent could loop or leave the table, or a table that
+    holds no tree, is refused at load time: exit 1 with one error line, not
+    a hang, a traceback or a prediction."""
     payload = json.loads(GOLDEN_TREE.read_text())
-    tree = payload["models"][0]["state"]["tree"]
-    tree["left"][node], tree["right"][node] = left, right
+    edit(payload["models"][0]["state"]["tree"])
     model = tmp_path / "model.json"
     model.write_text(json.dumps(payload))
     features = _one_feature_row(tmp_path)
@@ -474,25 +486,55 @@ def test_predict_malformed_tree_is_data_error(tmp_path, node, left, right):
                           env=_env_with_package(), timeout=60)
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: {model}: not a valid model file") and done.stderr.count("\n") == 1
-    assert f"tree node {node} has children" in done.stderr
+    assert f"member 'decision_tree': {message}" in done.stderr
+
+
+def _set_state(**fields):
+    """An edit of a member that replaces fields of its state."""
+    return lambda member: member["state"].update(fields)
+
+
+def _set_item(key, i, value):
+    """An edit of a member that sets entry ``i`` of its list ``key``."""
+    return lambda member: member[key].__setitem__(i, value)
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("family, edit, message", [
-    ("ols", lambda s: s.update(coef=[1.0, 2.0, 3.0]), "coef has shape (3,), expected (32,)"),
-    ("adaboost", lambda s: s.update(betas=0.5), "betas has shape (), expected (3,)"),
-    ("gradient_boosting", lambda s: s.update(init=[400.0, 500.0]),
-     "init has shape (2,), expected ()"),
-    ("knn", lambda s: s.update(targets=[[500.0]]), "targets has shape (1, 1), expected (1,)"),
-    ("knn", lambda s: s.update(k=0), "k is 0 with 16 targets; both must be >= 1"),
-    ("decision_tree", lambda s: s["tree"]["feature"].__setitem__(0, 32),
+    ("ols", _set_state(coef=[1.0, 2.0, 3.0]), "coef has shape (3,), expected (32,)"),
+    ("adaboost", _set_state(betas=0.5), "betas has shape (), expected (3,)"),
+    ("gradient_boosting", _set_state(init=[400.0, 500.0]), "init has shape (2,), expected ()"),
+    ("knn", _set_state(targets=[[500.0]]), "targets has shape (1, 1), expected (1,)"),
+    ("knn", _set_state(k=0), "k is 0 with 16 targets; both must be >= 1"),
+    ("decision_tree", lambda m: m["state"]["tree"]["feature"].__setitem__(0, 32),
      "a tree splits on feature 32, but the model has 32 features"),
+    ("adaboost", _set_state(betas=[-0.5, -0.5, -0.5]), "betas must lie in (0, 1)"),
+    ("adaboost", _set_state(betas=[2.0, 3.0, 4.0]), "betas must lie in (0, 1)"),
+    ("ols", lambda m: m["state"]["coef"].__setitem__(0, NAN), "coef must hold only finite numbers"),
+    ("ols", _set_item("feature_mean", 0, INF), "feature_mean must hold only finite numbers"),
+    ("ols", _set_item("feature_scale", 0, 0.0), "feature_scale must be > 0"),
+    ("gradient_boosting", _set_state(init=NAN), "init must hold only finite numbers"),
+    ("gradient_boosting", _set_state(learning_rate="0.3"),
+     "learning_rate must hold only finite numbers"),
+    ("knn", lambda m: m["state"]["targets"].__setitem__(0, NAN),
+     "targets must hold only finite numbers"),
+    ("knn", _set_state(k=2.7), "k must hold only finite integers"),
+    ("random_forest", _set_state(extra=1.0), "state key 'extra' is unknown"),
+    ("random_forest", _set_state(trees=[]), "trees is empty; a forest needs one tree or more"),
+    ("adaboost", _set_state(trees=[], betas=[]), "trees is empty; adaboost needs one tree or more"),
 ], ids=["ols-coef", "adaboost-betas", "gradient_boosting-init", "knn-targets", "knn-k-0",
-        "tree-feature"])
+        "tree-feature", "adaboost-betas-negative", "adaboost-betas-above-1", "ols-coef-nan",
+        "ols-feature_mean-inf", "ols-feature_scale-0", "gradient_boosting-init-nan",
+        "gradient_boosting-learning_rate-string", "knn-targets-nan", "knn-k-fraction",
+        "random_forest-extra-key", "random_forest-no-trees", "adaboost-no-trees"])
 def test_predict_malformed_member_state_is_data_error(tmp_path, capsys, family, edit, message):
-    """A member state that does not fit the feature or tree count is
-    refused at load time, naming the member and the field."""
+    """A member whose state does not fit the feature or tree count, holds
+    anything but finite numbers, or breaks its kind's own rule is refused
+    at load time, naming the member and the field."""
     payload = json.loads((GOLDEN_TREE.parent / f"{family}.json").read_text())
-    edit(payload["models"][0]["state"])
+    edit(payload["models"][0])
     model = tmp_path / "model.json"
     model.write_text(json.dumps(payload))
     features = _one_feature_row(tmp_path)

@@ -294,6 +294,33 @@ def test_serialisation_roundtrip_bit_exact_all_families():
         clone = model_from_dict(json.loads(payload))
         np.testing.assert_array_equal(clone.predict(grid), model.predict(grid))
         assert json.dumps(clone.to_dict()) == payload
+    # edge fits, each of which the load check must take back as it was written
+    step = np.where(X[:, 0] > 0, 400.0, 600.0)
+    flat = X.copy()
+    flat[:, 2] = 3.0
+    edges = [
+        (ModelSpec(name="a", family="adaboost", params={"n_rounds": 5}, seed=2), X, step),
+        (ModelSpec(name="g", family="gradient_boosting", params={"n_rounds": 0}), X, y),
+        (ModelSpec(name="g", family="gradient_boosting", params={"n_rounds": 2, "learning_rate": 1}), X, y),
+        (ModelSpec(name="k", family="knn", params={"k": 40}), X, y),
+        (ModelSpec(name="t", family="decision_tree"), X, np.full(len(y), 500.0)),
+        (ModelSpec(name="o", family="ols"), flat, y),
+    ]
+    written = []
+    for spec, X_edge, y_edge in edges:
+        edge = fit(spec, X_edge, y_edge)
+        text = json.dumps(edge.to_dict())
+        clone = model_from_dict(json.loads(text))
+        np.testing.assert_array_equal(clone.predict(grid), edge.predict(grid))
+        assert json.dumps(clone.to_dict()) == text
+        written.append(json.loads(text))
+    perfect, empty, unit_rate, wide_k, leaf, flat_ols = written
+    assert perfect["state"]["betas"] == [1e-12]
+    assert empty["state"]["trees"] == []
+    assert unit_rate["state"]["learning_rate"] == 1.0 and '"learning_rate": 1.0' in json.dumps(unit_rate)
+    assert wide_k["state"]["k"] == 40 and len(wide_k["state"]["targets"]) == 25
+    assert leaf["state"]["tree"]["feature"] == [-1]
+    assert flat_ols["feature_scale"][2] == 1.0
     with pytest.raises(ValueError, match="unknown model kind 'svm'"):
         model_from_dict({**json.loads(payload), "kind": "svm"})
     no_scale = json.loads(payload)
