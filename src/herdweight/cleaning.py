@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, EmptyResult, TooFewPoints, check_number
+from .errors import DegenerateCloud, EmptyResult, TooFewPoints, check_settings, setting
 from .pointcloud import PointCloud, as_points
 
 # Hypotheses are scored in chunks of _HYPOTHESIS_CHUNK against blocks of
@@ -87,26 +87,14 @@ class RansacParams:
     for a stall scene: floor plus up to three walls.
     """
 
-    inlier_threshold: float = 0.01
-    threshold_is_relative: bool = True
-    max_iterations: int = 1000
-    min_plane_fraction: float = 0.2
-    max_planes: int = 4
-    seed: int = 0
+    inlier_threshold: float = setting(0.01, low=0, open_low=True)
+    threshold_is_relative: bool = setting(True, choices=(True, False))
+    max_iterations: int = setting(1000, low=1)
+    min_plane_fraction: float = setting(0.2, low=0, high=1, open_low=True, open_high=True)
+    max_planes: int = setting(4, low=1)
+    seed: int = setting(0, low=0)
 
-    def __post_init__(self) -> None:
-        check_number("inlier_threshold", self.inlier_threshold)
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be > 0")
-        check_number("min_plane_fraction", self.min_plane_fraction)
-        if not 0 < self.min_plane_fraction < 1:
-            raise ValueError("min_plane_fraction must be in (0, 1)")
-        if not isinstance(self.threshold_is_relative, bool):
-            raise ValueError("threshold_is_relative must be true or false, "
-                             f"got {self.threshold_is_relative!r}")
-        check_number("max_iterations", self.max_iterations, low=1, integer=True)
-        check_number("max_planes", self.max_planes, low=1, integer=True)
-        check_number("seed", self.seed, low=0, integer=True)
+    __post_init__ = check_settings
 
 
 def resolve_threshold(points, params: RansacParams) -> float:

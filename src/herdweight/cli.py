@@ -13,7 +13,7 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 from functools import partial
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cleaning import segment_planes
-from .config import load_config, write_resolved_config
+from .config import SETTINGS, load_config, write_resolved_config
 from .dataset import (
     HerdDataset,
     load_dataset_csv,
@@ -226,23 +226,20 @@ def cmd_cv(args) -> int:
     out = _prepare_out(args)
 
     # One nested pass: the report, the ranking and the sweep all read it.
-    cv = nested_cv(X, y, config.specs, k=config.k, inner_k=config.inner_k, seed=config.seed,
-                   audit=args.audit, jobs=args.jobs)
+    cv = nested_cv(X, y, config.specs, **asdict(config.evaluation), audit=args.audit, jobs=args.jobs)
     audit = cv.audit() if args.audit else None
     report = {
         "n_samples": len(dataset),
-        "k": config.k,
-        "inner_k": config.inner_k,
-        "seed": config.seed,
-        "m_top": config.m_top,
-        "metrics": cv.metrics(config.m_top, config.alpha).to_json_dict(),
+        **asdict(config.evaluation),
+        "m_top": config.stacking.m_top,
+        "metrics": cv.metrics(**asdict(config.stacking)).to_json_dict(),
     }
     if audit is not None:
         report["audit"] = {"n_fits": audit.n_fits, "violations": list(audit.violations)}
     write_json(out / "report.json", report)
     _write_ranking_csv(cv.ranking(), out / "ranking.csv")
     if m_values:
-        sweep = cv.sweep(m_values, config.alpha)
+        sweep = cv.sweep(m_values, config.stacking.alpha)
         write_csv(out / "sweep.csv", [f.name for f in fields(SweepRow)],
                   ([r.m, *map(_float_repr, astuple(r)[1:])] for r in sweep))
     else:
@@ -260,8 +257,9 @@ def cmd_train(args) -> int:
     dataset = load_dataset_csv(args.dataset)
     X, y = dataset.matrices()
     out = _prepare_out(args)
-    inner = inner_pass(X, y, config.specs, kfold_split(len(y), config.inner_k, config.seed))
-    ensemble = fit_stack(X, y, config.specs, inner, m_top=config.m_top, alpha=config.alpha)
+    folds = kfold_split(len(y), config.evaluation.inner_k, config.evaluation.seed)
+    inner = inner_pass(X, y, config.specs, folds)
+    ensemble = fit_stack(X, y, config.specs, inner, **asdict(config.stacking))
     payload = ensemble_to_dict(ensemble)
     payload["n_features"] = X.shape[1]
     payload["tool_version"] = __version__
@@ -308,10 +306,12 @@ def _add_config_out(parser) -> None:
 
 
 def _add_settings(parser, *settings) -> None:
-    """One flag per (flag, dotted config key, type) that overrides that
-    config value; --help shows the key as the flag's metavar."""
-    for flag, key, kind in settings:
-        parser.add_argument(flag, dest=key, metavar=key, type=kind)
+    """One flag per (flag, dotted config key) that overrides that config value,
+    of the type its field declares; --help shows the key as the flag's metavar."""
+    for flag, key in settings:
+        section, name = key.split(".")
+        number = next(f for f in fields(SETTINGS[section]) if f.name == name).metadata["number"]
+        parser.add_argument(flag, dest=key, metavar=key, type=int if number["integer"] else float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clean", help="strip planar background from scans")
     p.add_argument("input", help="directory or glob of point cloud files")
     _add_config_out(p)
-    _add_settings(p, ("--threshold", "cleaning.inlier_threshold", float))
+    _add_settings(p, ("--threshold", "cleaning.inlier_threshold"))
     p.add_argument("--absolute", dest="cleaning.threshold_is_relative", action="store_const",
                    const=False, help="threshold in metres, not relative")
-    _add_settings(p, ("--max-iterations", "cleaning.max_iterations", int),
-                  ("--min-plane-fraction", "cleaning.min_plane_fraction", float),
-                  ("--max-planes", "cleaning.max_planes", int), ("--seed", "cleaning.seed", int))
+    _add_settings(p, ("--max-iterations", "cleaning.max_iterations"),
+                  ("--min-plane-fraction", "cleaning.min_plane_fraction"),
+                  ("--max-planes", "cleaning.max_planes"), ("--seed", "cleaning.seed"))
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_clean)
 
@@ -347,10 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("dataset", help="dataset CSV from the features command")
         _add_config_out(p)
         if name != "train":
-            _add_settings(p, ("--k", "evaluation.k", int))
-        _add_settings(p, ("--inner-k", "evaluation.inner_k", int),
-                      ("--seed", "evaluation.seed", int), ("--m-top", "stacking.m_top", int),
-                      ("--alpha", "stacking.alpha", float))
+            _add_settings(p, ("--k", "evaluation.k"))
+        _add_settings(p, ("--inner-k", "evaluation.inner_k"), ("--seed", "evaluation.seed"),
+                      ("--m-top", "stacking.m_top"), ("--alpha", "stacking.alpha"))
         if name != "train":
             p.add_argument("--sweep", default="2..11" if name == "sweep" else None,
                            help="ensemble sizes LO..HI")
@@ -366,9 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse-sim", help="run the fusion trajectory simulator")
     _add_config_out(p)
-    _add_settings(p, ("--views", "simulation.views", int), ("--steps", "simulation.steps", int),
-                  ("--seed", "simulation.seed", int), ("--beta", "fusion.beta", float),
-                  ("--epsilon", "fusion.epsilon", float))
+    _add_settings(p, ("--views", "simulation.views"), ("--steps", "simulation.steps"),
+                  ("--seed", "simulation.seed"), ("--beta", "fusion.beta"), ("--epsilon", "fusion.epsilon"))
     p.set_defaults(func=cmd_fuse_sim)
     return parser
 

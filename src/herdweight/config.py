@@ -8,14 +8,14 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cleaning import RansacParams
-from .errors import ConfigError, check_number
+from .errors import ConfigError, as_numbers, check_settings, setting
 from .files import read_json, write_json
 from .fusion import (
     DEFAULT_SCHEDULE,
@@ -36,15 +36,34 @@ from .stacking import DEFAULT_RIDGE_ALPHA
 
 DEFAULT_M_TOP = 11
 
-# Section name -> the keys it allows.
-_SECTIONS = {
-    "cleaning": {f.name for f in fields(RansacParams)},
-    "models": {"specs", "seed"},
-    "stacking": {"m_top", "alpha"},
-    "evaluation": {"k", "inner_k", "seed"},
-    "fusion": {f.name for f in fields(FusionParams)},
-    "simulation": {f.name for f in fields(SimulationConfig)} - {"params"},
-}
+
+@dataclass(frozen=True)
+class StackingParams:
+    """Stack size (None: the fewer of ``DEFAULT_M_TOP`` and the specs) and ridge penalty."""
+
+    m_top: int | None = setting(None, low=1, nullable=True)
+    alpha: float = setting(DEFAULT_RIDGE_ALPHA, low=0)
+
+    __post_init__ = check_settings
+
+
+@dataclass(frozen=True)
+class EvaluationParams:
+    """Outer and inner fold counts of nested CV, and the seed of its folds."""
+
+    k: int = setting(5, low=2)
+    inner_k: int = setting(5, low=2)
+    seed: int = setting(0, low=0)
+
+    __post_init__ = check_settings
+
+
+# Section name -> the class whose fields are its keys; "models" is the spec list.
+SETTINGS = {"cleaning": RansacParams, "stacking": StackingParams, "evaluation": EvaluationParams,
+            "fusion": FusionParams, "simulation": SimulationConfig}
+# Section name -> the keys it allows. A simulation's fusion params are the fusion section.
+_SECTIONS = {"models": {"specs", "seed"},
+             **{name: {f.name for f in fields(cls)} - {"params"} for name, cls in SETTINGS.items()}}
 
 
 def _check_keys(section: dict, allowed: set, path: str) -> None:
@@ -59,35 +78,28 @@ def _check_keys(section: dict, allowed: set, path: str) -> None:
 class PipelineConfig:
     cleaning: RansacParams
     specs: list[ModelSpec]
-    m_top: int
-    alpha: float
-    k: int
-    inner_k: int
-    seed: int
+    stacking: StackingParams
+    evaluation: EvaluationParams
     fusion: FusionParams
     simulation: SimulationConfig
 
     def resolved_dict(self) -> dict:
         """Fully resolved, reloadable configuration with version stamp."""
-        sim = self.simulation
-        return {
-            "tool_version": __version__,
-            "cleaning": asdict(self.cleaning),
-            "models": {"specs": [spec_to_dict(s) for s in self.specs]},
-            "stacking": {"m_top": self.m_top, "alpha": self.alpha},
-            "evaluation": {"k": self.k, "inner_k": self.inner_k, "seed": self.seed},
-            "fusion": asdict(self.fusion),
-            "simulation": {
-                **{name: getattr(sim, name) for name in _SECTIONS["simulation"]},
-                "schedule": {"kind": "explicit", "values": [float(s) for s in sim.schedule]},
-                "view_bias": None if sim.view_bias is None else [float(b) for b in sim.view_bias],
-            },
-        }
+        resolved = {name: {key: getattr(getattr(self, name), key) for key in _SECTIONS[name]}
+                    for name in SETTINGS}
+        sim = resolved["simulation"]
+        sim["schedule"] = {"kind": "explicit", "values": self.simulation.schedule.tolist()}
+        if sim["view_bias"] is not None:
+            sim["view_bias"] = sim["view_bias"].tolist()
+        return {"tool_version": __version__,
+                "models": {"specs": [spec_to_dict(s) for s in self.specs]}, **resolved}
 
 
 def _build_specs(models_section: dict) -> list[ModelSpec]:
     seed = models_section.get("seed", 0)
     raw = models_section.get("specs", list(FAMILIES))
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"models.specs must be a list naming at least one model, got {raw!r}")
     specs: list[ModelSpec] = []
     for entry in raw:
         if isinstance(entry, str):
@@ -104,11 +116,11 @@ def _build_specs(models_section: dict) -> list[ModelSpec]:
                 spec = spec_from_dict({"seed": seed, **entry})
             except KeyError as exc:
                 raise ConfigError(f"models.specs[]: missing key {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"models.specs[]: {exc}") from None
         else:
             raise ConfigError(f"models.specs: entries must be names or objects, got {entry!r}")
         specs.append(spec)
-    if not specs:
-        raise ConfigError("models.specs must name at least one model")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"models.specs: duplicate names {names}")
@@ -130,11 +142,9 @@ def _build_schedule(section: dict, steps: int) -> np.ndarray:
         if kind == "constant":
             return constant_schedule(values["sigma0"], steps)
         if kind == "explicit":
-            if "values" not in section:
-                raise ConfigError("simulation.schedule: explicit schedule needs 'values'")
-            return np.asarray(section["values"], dtype=np.float64)
-    except ConfigError:
-        raise
+            return as_numbers("values", section["values"])
+    except KeyError:   # only "values" can be missing
+        raise ConfigError("simulation.schedule: explicit schedule needs 'values'") from None
     except Exception as exc:
         raise ConfigError(f"simulation.schedule: {exc}") from exc
     raise ConfigError(f"simulation.schedule.kind must be geometric/constant/explicit, got {kind!r}")
@@ -155,36 +165,21 @@ def build_config(raw: dict) -> PipelineConfig:
     for name, section in sections.items():
         _check_keys(section, _SECTIONS[name], name)
 
-    cleaning = _build(RansacParams, "cleaning", sections["cleaning"])
     specs = _build_specs(sections["models"])
-
-    stacking = sections["stacking"]
-    m_top = stacking.get("m_top")
-    if m_top is None:
-        m_top = min(DEFAULT_M_TOP, len(specs))
-    check_number("stacking.m_top", m_top, low=1, integer=True, error=ConfigError)
+    built = {name: _build(cls, name, sections[name])
+             for name, cls in SETTINGS.items() if name != "simulation"}
+    stacking = built["stacking"]
+    m_top = min(DEFAULT_M_TOP, len(specs)) if stacking.m_top is None else stacking.m_top
     if m_top > len(specs):
         raise ConfigError(f"stacking.m_top must be at most {len(specs)}, got {m_top!r}")
-    alpha = stacking.get("alpha", DEFAULT_RIDGE_ALPHA)
-    check_number("stacking.alpha", alpha, low=0, error=ConfigError)
-
-    evaluation = sections["evaluation"]
-    k = evaluation.get("k", 5)
-    inner_k = evaluation.get("inner_k", 5)
-    seed = evaluation.get("seed", 0)
-    check_number("evaluation.k", k, low=2, integer=True, error=ConfigError)
-    check_number("evaluation.inner_k", inner_k, low=2, integer=True, error=ConfigError)
-    check_number("evaluation.seed", seed, low=0, integer=True, error=ConfigError)
-
-    fusion = _build(FusionParams, "fusion", sections["fusion"])
+    built["stacking"] = StackingParams(m_top, float(stacking.alpha))
+    # A schedule has one value per step: build it once steps is checked.
     sim = dict(sections["simulation"])
-    steps = sim.get("steps", SimulationConfig.steps)
-    check_number("simulation.steps", steps, low=1, integer=True, error=ConfigError)
-    sim["schedule"] = _build_schedule(sim.get("schedule", {}), steps)
-    simulation = _build(SimulationConfig, "simulation", sim, params=fusion)
-
-    return PipelineConfig(cleaning=cleaning, specs=specs, m_top=m_top, alpha=float(alpha),
-                          k=k, inner_k=inner_k, seed=seed, fusion=fusion, simulation=simulation)
+    schedule = sim.pop("schedule", {})
+    steps = _build(SimulationConfig, "simulation", sim, params=built["fusion"]).steps
+    sim["schedule"] = _build_schedule(schedule, steps)
+    built["simulation"] = _build(SimulationConfig, "simulation", sim, params=built["fusion"])
+    return PipelineConfig(specs=specs, **built)
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
@@ -198,7 +193,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
         raw = read_json(path, "config", ConfigError)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-    raw.pop("tool_version", None)
     for dotted, value in (overrides or {}).items():
         if value is None:
             continue

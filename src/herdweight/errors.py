@@ -1,7 +1,11 @@
-"""Exception types shared across the library, and one check of settings."""
+"""Exception types shared across the library, and the checks of numbers and settings."""
 
-import math
+import json
 import numbers
+import sys
+from dataclasses import field, fields
+
+import numpy as np
 
 
 class HerdWeightError(Exception):
@@ -80,11 +84,52 @@ class ConfigError(HerdWeightError):
     """Configuration file or CLI override is invalid."""
 
 
-def check_number(name: str, value, low=None, integer: bool = False, error=ValueError) -> None:
-    """Raise ``error`` unless ``value`` is a finite real number, an integer
-    if ``integer`` (a bool is neither), and at least ``low``."""
+def check_number(name: str, value, low=None, high=None, integer: bool = False, open_low: bool = False,
+                 open_high: bool = False, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a real number that a float can
+    hold, an integer if ``integer`` (a bool is neither), from ``low`` to
+    ``high``, each end excluded if ``open_low`` or ``open_high``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real)
-            or not (integer or math.isfinite(value))):
+            or not (integer or abs(value) <= sys.float_info.max)):
         raise error(f"{name} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
-    if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {value!r}")
+    if low is not None and (value < low or open_low and value == low):
+        raise error(f"{name} must be {'>' if open_low else '>='} {low}, got {value!r}")
+    if high is not None and (value > high or open_high and value == high):
+        raise error(f"{name} must be {'<' if open_high else '<='} {high}, got {value!r}")
+
+
+def as_numbers(name: str, value, integer: bool = False) -> np.ndarray:
+    """``value`` as an array; a ValueError naming ``name`` unless it holds
+    only finite numbers, or only integers if ``integer``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:   # ragged lists
+        array = np.asarray(None)
+    if array.dtype.kind not in ("iu" if integer else "iuf") or not np.isfinite(array).all():
+        raise ValueError(f"{name} must hold only finite {'integers' if integer else 'numbers'}")
+    return array
+
+
+def setting(default, choices: tuple = (), nullable: bool = False, **bounds):
+    """A dataclass field holding ``default`` that accepts one of ``choices``, or else
+    a number (an integer unless ``default`` is a float) within ``bounds``, which
+    are ``check_number``'s, or None if ``nullable``."""
+    number = dict(integer=not isinstance(default, float), **bounds)
+    return field(default=default, metadata=dict(choices=choices, nullable=nullable, number=number))
+
+
+def check_setting(name: str, value, declared) -> None:
+    """Raise ValueError, naming ``name``, unless the ``setting`` ``declared`` accepts ``value``."""
+    rule = declared.metadata
+    if rule["choices"]:
+        if not any(isinstance(value, type(c)) and value == c for c in rule["choices"]):
+            raise ValueError(f"{name} must be {' or '.join(map(json.dumps, rule['choices']))}, got {value!r}")
+    elif value is not None or not rule["nullable"]:
+        check_number(name, value, **rule["number"])
+
+
+def check_settings(obj) -> None:
+    """``check_setting`` on each field of the dataclass ``obj`` that ``setting`` declares."""
+    for f in fields(obj):
+        if f.metadata:
+            check_setting(f.name, getattr(obj, f.name), f)

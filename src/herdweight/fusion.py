@@ -23,7 +23,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import HerdWeightError, InvalidSchedule, NonFiniteInput, check_number
+from .errors import (
+    HerdWeightError,
+    InvalidSchedule,
+    NonFiniteInput,
+    as_numbers,
+    check_number,
+    check_settings,
+    setting,
+)
 from .files import output
 
 CENTER_METHODS = ("mean", "median")
@@ -59,17 +67,11 @@ class FusionParams:
     is an optional robust alternative, off by default.
     """
 
-    beta: float = 1.0
-    epsilon: float = 1e-8
-    center: str = "mean"
+    beta: float = setting(1.0, low=0)
+    epsilon: float = setting(1e-8, low=0, open_low=True)
+    center: str = setting("mean", choices=CENTER_METHODS)
 
-    def __post_init__(self) -> None:
-        check_number("beta", self.beta, low=0)
-        check_number("epsilon", self.epsilon)
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.center not in CENTER_METHODS:
-            raise ValueError(f"center must be one of {CENTER_METHODS}, got {self.center!r}")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -149,18 +151,13 @@ def average_fuse(updates: ViewUpdateSet, params: FusionParams | None = None) -> 
 
 def geometric_schedule(sigma0: float, decay: float, steps: int) -> np.ndarray:
     """sigma0 * decay**t for t = 0..steps-1."""
-    check_number("sigma0", sigma0, error=InvalidSchedule)
-    check_number("decay", decay, error=InvalidSchedule)
-    if sigma0 < 0 or not 0 <= decay <= 1:
-        raise InvalidSchedule(f"need sigma0 >= 0 and decay in [0, 1], got {sigma0}, {decay}")
+    check_number("sigma0", sigma0, low=0, error=InvalidSchedule)
+    check_number("decay", decay, low=0, high=1, error=InvalidSchedule)
     return sigma0 * decay ** np.arange(steps, dtype=np.float64)
 
 
 def constant_schedule(sigma: float, steps: int) -> np.ndarray:
-    check_number("sigma", sigma, error=InvalidSchedule)
-    if sigma < 0:
-        raise InvalidSchedule(f"need sigma >= 0, got {sigma}")
-    return np.full(steps, float(sigma))
+    return geometric_schedule(sigma, 1.0, steps)
 
 
 def _validate_schedule(schedule: np.ndarray, steps: int) -> np.ndarray:
@@ -184,34 +181,27 @@ class SimulationConfig:
     fuses them, and advances the state by the fused update.
     """
 
-    views: int = 3
-    locations: int = 64
-    channels: int = 8
-    steps: int = 60
+    views: int = setting(3, low=1)
+    locations: int = setting(64, low=1)
+    channels: int = setting(8, low=1)
+    steps: int = setting(60, low=1)
     schedule: np.ndarray = field(default=None)  # defaults to geometric below
     params: FusionParams = field(default_factory=FusionParams)
-    seed: int = 0
-    contraction: float = 0.2
+    seed: int = setting(0, low=0)
+    contraction: float = setting(0.2, low=0, high=1, open_low=True)
     view_bias: np.ndarray | None = None
-    target_scale: float = 1.0
+    target_scale: float = setting(1.0)
 
     def __post_init__(self) -> None:
-        for name in ("views", "locations", "channels", "steps", "seed"):
-            check_number(name, getattr(self, name), low=0 if name == "seed" else 1, integer=True)
-        check_number("target_scale", self.target_scale)
+        check_settings(self)
         sched = self.schedule
         if sched is None:
             sched = geometric_schedule(**DEFAULT_SCHEDULE, steps=self.steps)
         object.__setattr__(self, "schedule", _validate_schedule(sched, self.steps))
-        check_number("contraction", self.contraction)
-        if not 0 < self.contraction <= 1:
-            raise ValueError(f"contraction must be in (0, 1], got {self.contraction}")
         if self.view_bias is not None:
-            bias = np.asarray(self.view_bias, dtype=np.float64)
+            bias = as_numbers("view_bias", self.view_bias).astype(np.float64)
             if bias.shape != (self.views,):
                 raise ValueError(f"view_bias must have one entry per view, got shape {bias.shape}")
-            if not np.isfinite(bias).all():
-                raise ValueError("view_bias must be finite")
             object.__setattr__(self, "view_bias", bias)
 
 

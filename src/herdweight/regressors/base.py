@@ -22,7 +22,10 @@ from ..errors import (
     InvalidHyperparameter,
     NonFiniteInput,
     NonPositiveTarget,
-    check_number,
+    as_numbers,
+    check_setting,
+    check_settings,
+    setting,
 )
 
 # Stand-ins for third-party boosting variants: same family, three profiles.
@@ -42,12 +45,10 @@ class ModelSpec:
     name: str
     family: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
+    seed: int = setting(0, low=0)
 
     def resolved_params(self) -> dict:
-        merged = dict(DEFAULT_FAMILY_PARAMS[self.family])
-        merged.update(self.params)
-        return merged
+        return {**DEFAULT_FAMILY_PARAMS[self.family], **self.params}
 
 
 def default_model_specs(seed: int = 0) -> list[ModelSpec]:
@@ -55,37 +56,23 @@ def default_model_specs(seed: int = 0) -> list[ModelSpec]:
     return [ModelSpec(name=f, family=f, seed=seed) for f in FAMILIES]
 
 
-_check_int = partial(check_number, integer=True, error=InvalidHyperparameter)
-
 TABLE = "table"   # the state shape that stands for a kind's TreeTable
 
 
 def validate_spec(spec: ModelSpec) -> None:
-    """Raise InvalidHyperparameter for unknown families/keys or bad ranges."""
+    """Raise InvalidHyperparameter unless ``ModelSpec`` and the family table declare ``spec``'s values."""
     if spec.family not in FAMILIES:
         raise InvalidHyperparameter(f"unknown model family {spec.family!r}")
-    known = set(DEFAULT_FAMILY_PARAMS[spec.family])
-    extra = set(spec.params) - known
+    declared = _FAMILY_TABLE[spec.family].params
+    extra = set(spec.params) - set(declared)
     if extra:
         raise InvalidHyperparameter(f"{spec.name}: unknown hyperparameters {sorted(extra)} for family {spec.family!r}")
-    _check_int(f"{spec.name}: seed", spec.seed, low=0)
-    p = spec.resolved_params()
-    for key in ("alpha", "l1_ratio", "tol", "delta", "learning_rate"):   # real-valued
-        if key in p:
-            check_number(f"{spec.name}: {key}", p[key], error=InvalidHyperparameter)
-    if "alpha" in p and p["alpha"] < 0:
-        raise InvalidHyperparameter(f"{spec.name}: alpha must be >= 0")
-    if "l1_ratio" in p and not 0.0 <= p["l1_ratio"] <= 1.0:
-        raise InvalidHyperparameter(f"{spec.name}: l1_ratio must be in [0, 1]")
-    for key in ("tol", "delta"):
-        if key in p and p[key] <= 0:
-            raise InvalidHyperparameter(f"{spec.name}: {key} must be > 0, got {p[key]!r}")
-    for key in ("max_sweeps", "max_iter", "k", "max_depth", "n_trees", "n_rounds"):   # counts
-        if key in p and not (key == "max_depth" and p[key] is None):   # None: no depth cap
-            low = 0 if key == "n_rounds" and spec.family == "gradient_boosting" else 1
-            _check_int(f"{spec.name}: {key}", p[key], low=low)
-    if "learning_rate" in p and not 0.0 < p["learning_rate"] <= 1.0:
-        raise InvalidHyperparameter(f"{spec.name}: learning_rate must be in (0, 1]")
+    try:
+        check_settings(spec)
+        for key, value in spec.params.items():
+            check_setting(key, value, declared[key])
+    except ValueError as exc:
+        raise InvalidHyperparameter(f"{spec.name}: {exc}") from None
 
 
 class FittedModel:
@@ -177,18 +164,6 @@ class FittedModel:
                 "state": self._state_dict()}
 
 
-def as_numbers(field: str, value, integer: bool = False) -> np.ndarray:
-    """``value`` as an array; a ValueError naming ``field`` unless it holds
-    only finite numbers, or only integers if ``integer``."""
-    try:
-        array = np.asarray(value)
-    except ValueError:   # ragged lists
-        array = np.asarray(None)
-    if array.dtype.kind not in ("iu" if integer else "iuf") or not np.isfinite(array).all():
-        raise ValueError(f"{field} must hold only finite {'integers' if integer else 'numbers'}")
-    return array
-
-
 def _standardisation(X: np.ndarray, identity: bool) -> tuple[np.ndarray, np.ndarray]:
     d = X.shape[1]
     if identity:
@@ -235,8 +210,10 @@ def spec_to_dict(spec: ModelSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
-    return ModelSpec(name=d["name"], family=d["family"], params=dict(d.get("params", {})),
-                     seed=int(d.get("seed", 0)))
+    params = d.get("params", {})
+    if not (isinstance(d["name"], str) and isinstance(params, dict)):
+        raise ValueError(f"a spec needs a string name and object params, got {d['name']!r} and {params!r}")
+    return ModelSpec(name=d["name"], family=d["family"], params=dict(params), seed=d.get("seed", 0))
 
 
 def model_from_dict(d: dict) -> FittedModel:
@@ -249,6 +226,7 @@ def model_from_dict(d: dict) -> FittedModel:
         raise ValueError(f"unknown model kind {d.get('kind')!r}") from None
     spec = spec_from_dict(d["spec"])
     try:
+        check_settings(spec)
         model = cls._from_state(spec, d["feature_mean"], d["feature_scale"], d["state"])
         model._check_state()
     except ValueError as exc:
@@ -257,10 +235,10 @@ def model_from_dict(d: dict) -> FittedModel:
 
 
 class Family(NamedTuple):
-    """One regressor family: default hyperparameters, whether features
-    are standardised, and ``fit(spec, Xs, y, mean, scale, **params)``."""
+    """One regressor family: its hyperparameters, each a ``setting``, whether
+    features are standardised, and ``fit(spec, Xs, y, mean, scale, **params)``."""
 
-    defaults: dict
+    params: dict
     standardise: bool
     fit: Callable[..., FittedModel]
 
@@ -268,28 +246,34 @@ class Family(NamedTuple):
 # The family modules subclass FittedModel, so they load after it.
 from . import linear, neighbors, trees  # noqa: E402
 
+_max_depth = partial(setting, low=1, nullable=True)   # None: no depth cap
+
 _FAMILY_TABLE: Mapping[str, Family] = MappingProxyType({
     "ols": Family({}, True, linear.fit_ols),
-    "ridge": Family({"alpha": 1.0}, True, linear.fit_ridge),
-    "lasso": Family({"alpha": 1.0, "max_sweeps": 10_000}, True,
+    "ridge": Family({"alpha": setting(1.0, low=0)}, True, linear.fit_ridge),
+    "lasso": Family({"alpha": setting(1.0, low=0), "max_sweeps": setting(10_000, low=1)}, True,
                     partial(linear.fit_elastic_net, l1_ratio=1.0)),
-    "elastic_net": Family({"alpha": 1.0, "l1_ratio": 0.5, "max_sweeps": 10_000}, True,
-                          linear.fit_elastic_net),
-    "huber": Family({"delta": 1.35, "max_iter": 100, "tol": 1e-8}, True, linear.fit_huber),
-    "knn": Family({"k": 5}, True, neighbors.fit_knn),
-    "decision_tree": Family({"max_depth": None}, False, trees.fit_decision_tree),
-    "random_forest": Family({"n_trees": 300, "max_depth": None}, False,
+    "elastic_net": Family({"alpha": setting(1.0, low=0), "l1_ratio": setting(0.5, low=0, high=1),
+                           "max_sweeps": setting(10_000, low=1)}, True, linear.fit_elastic_net),
+    "huber": Family({"delta": setting(1.35, low=0, open_low=True), "max_iter": setting(100, low=1),
+                     "tol": setting(1e-8, low=0, open_low=True)}, True, linear.fit_huber),
+    "knn": Family({"k": setting(5, low=1)}, True, neighbors.fit_knn),
+    "decision_tree": Family({"max_depth": _max_depth(None)}, False, trees.fit_decision_tree),
+    "random_forest": Family({"n_trees": setting(300, low=1), "max_depth": _max_depth(None)}, False,
                             partial(trees.fit_forest, bootstrap=True, random_thresholds=False)),
-    "extra_trees": Family({"n_trees": 300, "max_depth": None}, False,
+    "extra_trees": Family({"n_trees": setting(300, low=1), "max_depth": _max_depth(None)}, False,
                           partial(trees.fit_forest, bootstrap=False, random_thresholds=True)),
-    "adaboost": Family({"n_rounds": 200, "max_depth": 4}, False, trees.fit_adaboost),
-    "gradient_boosting": Family({"n_rounds": 500, "max_depth": 3, "learning_rate": 0.05}, False,
-                                trees.fit_gradient_boosting),
+    "adaboost": Family({"n_rounds": setting(200, low=1), "max_depth": _max_depth(4)}, False,
+                       trees.fit_adaboost),
+    "gradient_boosting": Family({"n_rounds": setting(500, low=0), "max_depth": _max_depth(3),
+                                 "learning_rate": setting(0.05, low=0, high=1, open_low=True)},
+                                False, trees.fit_gradient_boosting),
 })
 
 # Declaration order is the ranking's tie-break order.
 FAMILIES = tuple(_FAMILY_TABLE)
 DEFAULT_FAMILY_PARAMS: Mapping[str, dict] = MappingProxyType(
-    {name: family.defaults for name, family in _FAMILY_TABLE.items()})
+    {name: {key: declared.default for key, declared in family.params.items()}
+     for name, family in _FAMILY_TABLE.items()})
 _MODEL_KINDS = {cls.kind: cls for cls in FittedModel.__subclasses__() + trees.TreeModel.__subclasses__()
                 if cls is not trees.TreeModel}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HerdWeightError, NonPositiveTarget
+from .errors import DimensionMismatch, HerdWeightError, NonPositiveTarget, as_numbers, check_number
 from .evaluation import FoldAssignment, compute_metrics
 from .regressors import (
     FittedModel,
@@ -245,10 +245,12 @@ def ensemble_from_dict(d: dict) -> StackedEnsemble:
         raise ValueError(f"unsupported ensemble format_version {d.get('format_version')!r}")
     ranking = ModelRanking(entries=tuple(
         RankedModel(name=e["name"], mape=e["mape"], r2=e["r2"], mae=e["mae"]) for e in d["ranking"]))
+    check_number("intercept", d["intercept"])
+    check_number("alpha", d["alpha"])
     ensemble = StackedEnsemble(
         specs=[spec_from_dict(s) for s in d["specs"]],
         models=[model_from_dict(m) for m in d["models"]],
-        weights=np.asarray(d["weights"], dtype=np.float64),
+        weights=as_numbers("weights", d["weights"]).astype(np.float64),
         intercept=float(d["intercept"]),
         alpha=float(d["alpha"]),
         ranking=ranking,
@@ -259,6 +261,4 @@ def ensemble_from_dict(d: dict) -> StackedEnsemble:
         raise ValueError(f"{len(ensemble.specs)} specs but {len(ensemble.models)} models")
     if ensemble.weights.shape != (len(ensemble.models),):
         raise ValueError(f"{len(ensemble.models)} models but weights of shape {ensemble.weights.shape}")
-    if not (np.isfinite(ensemble.weights).all() and np.isfinite(ensemble.intercept)):
-        raise ValueError("weights and intercept must be finite")
     return ensemble

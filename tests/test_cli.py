@@ -425,6 +425,12 @@ def _model_json(**fields):
     pytest.param(_model_json(weights=[float("inf")]), id="inf-weight"),
     pytest.param(_model_json(intercept=float("nan")), id="nan-intercept"),
     pytest.param(_model_json(specs=[]), id="specs-models-mismatch"),
+    pytest.param(_model_json(weights=["1.0"]), id="string-weight"),
+    pytest.param(_model_json(intercept="0"), id="string-intercept"),
+    pytest.param(_model_json(alpha="1"), id="string-alpha"),
+    pytest.param(_model_json(intercept=10**400), id="intercept-400-digits"),
+    pytest.param(_model_json(specs=[{"name": "ols", "family": "ols", "params": 5, "seed": 0}]),
+                 id="spec-params-number"),
     pytest.param(b"\xff{}", id="not-utf8"),
     pytest.param(b"[" * 200_000, id="nested-too-deep"),
 ])
@@ -522,13 +528,16 @@ NAN, INF = float("nan"), float("inf")
      "targets must hold only finite numbers"),
     ("knn", _set_state(k=2.7), "k must hold only finite integers"),
     ("random_forest", _set_state(extra=1.0), "state key 'extra' is unknown"),
+    ("ols", lambda m: m["spec"].update(seed=2.7), "seed must be an integer, got 2.7"),
+    ("ridge", lambda m: m["spec"].update(seed="3"), "seed must be an integer, got '3'"),
     ("random_forest", _set_state(trees=[]), "trees is empty; a forest needs one tree or more"),
     ("adaboost", _set_state(trees=[], betas=[]), "trees is empty; adaboost needs one tree or more"),
 ], ids=["ols-coef", "adaboost-betas", "gradient_boosting-init", "knn-targets", "knn-k-0",
         "tree-feature", "adaboost-betas-negative", "adaboost-betas-above-1", "ols-coef-nan",
         "ols-feature_mean-inf", "ols-feature_scale-0", "gradient_boosting-init-nan",
         "gradient_boosting-learning_rate-string", "knn-targets-nan", "knn-k-fraction",
-        "random_forest-extra-key", "random_forest-no-trees", "adaboost-no-trees"])
+        "random_forest-extra-key", "ols-spec-seed-fraction", "ridge-spec-seed-string",
+        "random_forest-no-trees", "adaboost-no-trees"])
 def test_predict_malformed_member_state_is_data_error(tmp_path, capsys, family, edit, message):
     """A member whose state does not fit the feature or tree count, holds
     anything but finite numbers, or breaks its kind's own rule is refused
@@ -678,6 +687,9 @@ _NOT_NUMBERS = [
     ("simulation", {"schedule": {"sigma0": "1"}}), ("simulation", {"schedule": {"decay": "0.5"}}),
     ("simulation", {"schedule": {"kind": "constant", "sigma0": True}}),
     ("cleaning", {"min_plane_fraction": "0.3"}),
+    ("simulation", {"view_bias": ["1", "2", "3"]}), ("simulation", {"view_bias": [True, False, True]}),
+    ("simulation", {"schedule": {"kind": "explicit", "values": ["1"] * 60}}),
+    ("simulation", {"schedule": {"kind": "explicit", "values": [True] * 60}}),
 ]
 
 
@@ -690,6 +702,12 @@ _NOT_NUMBERS = [
     ("cleaning", {"seed": -1}), ("cleaning", {"seed": 1.5}),
     ("cleaning", {"inlier_threshold": float("nan")}), ("cleaning", {"max_planes": 1.5}),
     ("cleaning", {"threshold_is_relative": "no"}),
+    pytest.param("stacking", {"alpha": 10**400}, id="stacking-alpha=400-digits"),
+    ("models", {"specs": [{"name": "m", "family": "ols", "params": 5}]}),
+    ("models", {"specs": [{"name": "m", "family": "ols", "params": "ab"}]}),
+    ("models", {"specs": [{"name": "m", "family": "ols", "seed": 2.7}]}),
+    ("models", {"specs": [{"name": "m", "family": "ols", "seed": "3"}]}),
+    ("models", {"seed": True, "specs": [{"name": "m", "family": "ols"}]}),
     *_NOT_NUMBERS,
 ], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v))
 def test_hostile_config_value_exits_cleanly(herd_csv, scene_dir, tmp_path, capsys, section, values):
@@ -882,6 +900,13 @@ def test_resolved_config_is_a_fixed_point(tmp_path):
     assert reloaded.resolved_dict() == resolved
     (tmp_path / "again").mkdir()
     assert write_resolved_config(reloaded, tmp_path / "again").read_bytes() == first.read_bytes()
+
+
+def test_readme_config_example_is_the_default():
+    """The README's config example spells out the default of every key."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert build_config(json.loads(example)).resolved_dict() == build_config({}).resolved_dict()
 
 
 def test_resolved_config_reloads(herd_csv, small_config, tmp_path):
