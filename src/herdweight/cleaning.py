@@ -82,14 +82,15 @@ class RansacParams:
     ``max_iterations`` sets the draw budget of a pass: as many pre-tested
     samples as find a plane holding ``min_plane_fraction`` of the points
     at least as surely as ``max_iterations`` samples scored without the
-    pre-test (5 017 at the defaults; `_draw_budget`). A pass stops sooner
-    once it has seen enough (`fit_plane_ransac`). The defaults are sized
+    pre-test (5 017 at the defaults; `_draw_budget`); at most 10**9, so the
+    budget (up to 100 times that) is finite. A pass stops sooner once it
+    has seen enough (`fit_plane_ransac`). The defaults are sized
     for a stall scene: floor plus up to three walls.
     """
 
     inlier_threshold: float = setting(0.01, low=0, open_low=True)
     threshold_is_relative: bool = setting(True, choices=(True, False))
-    max_iterations: int = setting(1000, low=1)
+    max_iterations: int = setting(1000, low=1, high=10**9)
     min_plane_fraction: float = setting(0.2, low=0, high=1, open_low=True, open_high=True)
     max_planes: int = setting(4, low=1)
     seed: int = setting(0, low=0)
@@ -299,7 +300,7 @@ def _score_hypotheses(pts, normals, lengths, a, rows, threshold) -> np.ndarray:
         np.add(dist, offs, out=dist)
         np.abs(dist, out=dist)
         np.less_equal(dist, threshold, out=mask)
-        counts += np.count_nonzero(mask, axis=1)
+        counts += np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int16)  # width <= 512 fits int16
     return counts
 
 
@@ -309,9 +310,10 @@ def segment_planes(cloud, params: RansacParams) -> tuple[PointCloud, list[PlaneM
     The relative threshold is resolved once against the input cloud, so
     every pass uses the same absolute tolerance.
     """
-    pts = as_points(cloud)
+    cloud = PointCloud.of_checked(as_points(cloud))  # checked here once, not again by each pass
+    pts = cloud.points
     keep = np.ones(pts.shape[0], dtype=bool)
-    threshold = resolve_threshold(pts, params)
+    threshold = resolve_threshold(cloud, params)
     rng = np.random.default_rng(params.seed)
     planes: list[PlaneModel] = []
 
@@ -320,7 +322,7 @@ def segment_planes(cloud, params: RansacParams) -> tuple[PointCloud, list[PlaneM
         if current_rows.size < 3:
             break
         # a pass over the whole cloud needs no copy of it, which lowers the peak
-        current = pts if current_rows.size == pts.shape[0] else pts[current_rows]
+        current = cloud if current_rows.size == pts.shape[0] else PointCloud.of_checked(pts[current_rows])
         try:
             found = fit_plane_ransac(current, params, rng=rng, threshold=threshold)
         except (DegenerateCloud, TooFewPoints):

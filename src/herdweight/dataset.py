@@ -8,6 +8,7 @@ the same value, so save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,7 +115,8 @@ def _read_table(path, check_header):
     records are skipped, and every other has the header's width."""
     header, rows_at, parts = None, [], []
     with text_blocks(path, csv_records=True) as blocks:
-        for first, rows in blocks:
+        for first, lines, rows in blocks:
+            rows = list(csv.reader(lines)) if rows is None else rows
             if header is None:
                 header = rows[0]
                 check_header(header)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoplanarCloud, DegenerateCloud, HerdWeightError, TooFewPoints
-from .pointcloud import as_points
+from .pointcloud import PointCloud, as_points
 
 FEATURE_SCHEMA_VERSION = 1
 
@@ -149,7 +149,8 @@ def convex_hull(cloud) -> HullSummary:
     except QhullError as exc:
         raise CoplanarCloud(f"convex hull is degenerate (coplanar points?): {exc}") from exc
     tri = pts[hull.simplices]  # (F, 3, 3)
-    centroid = pts[hull.vertices].mean(axis=0)
+    on_hull = np.bincount(hull.simplices.ravel(), minlength=pts.shape[0]).astype(bool)  # unsorted hull.vertices
+    centroid = pts[on_hull].mean(axis=0)
     rel = tri - centroid
     volume = float(np.abs(np.einsum("fi,fi->f", rel[:, 0], np.cross(rel[:, 1], rel[:, 2]))).sum() / 6.0)
     area = float(0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum())
@@ -158,7 +159,7 @@ def convex_hull(cloud) -> HullSummary:
     return HullSummary(
         volume=volume,
         surface_area=area,
-        n_vertices=int(hull.vertices.size),
+        n_vertices=int(np.count_nonzero(on_hull)),
         n_facets=int(hull.simplices.shape[0]),
     )
 
@@ -229,19 +230,19 @@ def extract_feature_vector(cloud) -> FeatureVector:
     Errors from the individual blocks propagate with the failing block
     named in the message.
     """
-    pts = as_points(cloud)
+    cloud = PointCloud.of_checked(as_points(cloud))  # checked here once, not again by each block
     try:
-        eig = pca_shape(pts)
+        eig = pca_shape(cloud)
     except HerdWeightError as exc:
         raise _tagged("shape", exc) from exc
     lam1, lam2, lam3 = eig.eigenvalues
     if lam2 < _RATIO_GUARD * lam1 or lam3 < _RATIO_GUARD * lam1:
         raise DegenerateCloud("shape: eigenvalue spectrum collapsed; ratio features unbounded")
 
-    length, width, height = oriented_extents(pts, eig)
+    length, width, height = oriented_extents(cloud, eig)
     bbox_volume = length * width * height
     try:
-        hull = convex_hull(pts)
+        hull = convex_hull(cloud)
     except HerdWeightError as exc:
         raise _tagged("hull", exc) from exc
 
@@ -249,11 +250,11 @@ def extract_feature_vector(cloud) -> FeatureVector:
         [
             [length, width, height, bbox_volume, hull.volume, hull.surface_area],
             [lam1 / lam2, lam2 / lam3],
-            axis_percentiles(pts, "x"),
-            axis_percentiles(pts, "y"),
-            axis_percentiles(pts, "z"),
-            z_section_densities(pts),
-            moments(pts),
+            axis_percentiles(cloud, "x"),
+            axis_percentiles(cloud, "y"),
+            axis_percentiles(cloud, "z"),
+            z_section_densities(cloud),
+            moments(cloud),
         ]
     )
     return FeatureVector(values=values)

@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import IoError, ParseError
 
 # Input text is read and converted BLOCK_ROWS rows at a time, so parsing
-# holds one block's tokens (about 8 MB for three numbers a row) whatever
+# holds one block's lines (about 2 MB for three numbers a row) whatever
 # the file size, while the fixed cost of each block's few calls stays
 # below 1 % of its work.
 BLOCK_ROWS = 16384
@@ -81,18 +81,31 @@ def row_blocks(rows, first: int = 1):
 
 @contextmanager
 def text_blocks(path, csv_records: bool = False):
-    """The `row_blocks` of a UTF-8 text file, open for the ``with`` block:
-    CSV records, or else each line's whitespace-separated tokens (universal
-    newlines). Non-UTF-8 bytes and malformed CSV raise ParseError as their
-    block is read, before any other error in that block."""
+    """``(number of its first row, its lines, None)`` for each block of
+    BLOCK_ROWS lines (rows) of a UTF-8 text file, open for the ``with``
+    block. From a CSV block with a quote, a NUL (refused by csv before
+    Python 3.11) or a line as long as csv's field limit on, a record may
+    span lines: the rest is ``(first, [], rows)``, `row_blocks` of CSV
+    records. Non-UTF-8 bytes and malformed CSV raise ParseError as their
+    block is read, before any other error in it."""
     with open(path, encoding="utf-8", newline="" if csv_records else None) as f:
-        rows = csv.reader(f) if csv_records else map(str.split, f)
         try:
-            yield row_blocks(rows)
+            yield _line_blocks(f, path, csv_records)
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text ({_utf8_fault(path)})") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{rows.line_num}: {exc}") from None
+
+
+def _line_blocks(f, path, csv_records: bool):
+    for first, lines in row_blocks(f):
+        text = "".join(lines) if csv_records else ""
+        if '"' in text or "\0" in text or csv_records and max(map(len, lines)) >= csv.field_size_limit():
+            records = csv.reader(chain(lines, f))
+            try:
+                yield from ((i, [], rows) for i, rows in row_blocks(records, first))
+            except csv.Error as exc:
+                raise ParseError(f"{path}:{first - 1 + records.line_num}: {exc}") from None
+            return
+        yield first, lines, None
 
 
 def _utf8_fault(path) -> str:

@@ -10,12 +10,13 @@ deduplicated.
 
 from __future__ import annotations
 
+import csv
 import io
 import operator
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,12 @@ class PointCloud:
     def __len__(self) -> int:
         return self.n_points
 
+    @classmethod
+    def of_checked(cls, points: np.ndarray) -> PointCloud:
+        """A cloud of ``points`` that a cloud's check has passed (its own, or some of its rows)."""
+        object.__setattr__(cloud := object.__new__(cls), "points", points)
+        return cloud
+
 
 def as_points(cloud) -> np.ndarray:
     """Accept a PointCloud or raw (N, 3) array and return the array."""
@@ -80,23 +87,9 @@ def block_floats(rows, first: int, where, cols=(0, 1, 2), width: int = 3, exact:
     as an (n, len(cols)) float64 array. Rows for which ``blank`` is true
     (as it must be for an empty row; None skips none) are skipped; the
     others have ``width`` fields, or at least ``width`` unless ``exact``.
-    One ``np.array`` call converts the block, with float()'s value for
-    every cell. Only if it fails is the block re-scanned row by row, to
-    raise the first bad row's ParseError (``where(row number)`` names it)
-    or to convert cells padded with \\x1c-\\x1f, which str.strip()
-    removes and float() rejects."""
-    kept = rows if blank is None else list(filter(None, rows))
-    lengths = set(map(len, kept))
-    if lengths <= {width} if exact else min(lengths, default=width) >= width:
-        if lengths == {len(cols)} and cols == tuple(range(len(cols))):
-            cells = chain.from_iterable(kept)  # the rows are the cells
-        else:
-            picked = map(operator.itemgetter(*cols), kept)
-            cells = picked if len(cols) == 1 else chain.from_iterable(picked)
-        try:
-            return np.array(list(cells), dtype=np.float64).reshape(-1, len(cols))
-        except ValueError:
-            pass
+    Each cell is stripped (str.strip() also removes \\x1c-\\x1f, which
+    float() rejects) and converted with float(); the first bad row is a
+    ParseError that ``where(row number)`` names."""
     out = []
     for i, row in enumerate(rows, start=first):
         if blank is not None and blank(row):
@@ -109,6 +102,25 @@ def block_floats(rows, first: int, where, cols=(0, 1, 2), width: int = 3, exact:
             except ValueError:
                 raise ParseError(f"{where(i)}: cannot parse {row[c]!r} as a number") from None
     return np.array(out, dtype=np.float64).reshape(-1, len(cols))
+
+
+def text_floats(lines, first: int, where, cols=(0, 1, 2), width: int = 3, exact: bool = True,
+                blank=operator.not_, delimiter=None, rows=None) -> np.ndarray:
+    """`block_floats` of text ``lines`` split by ``delimiter`` (None: any
+    whitespace), by one ``np.loadtxt`` call unless ``rows`` gives CSV records
+    or numpy refuses or might misread the lines (it skips blank lines)."""
+    # picking columns, numpy takes any row that holds them: pick the last required one too
+    use = None if exact else cols if width - 1 in cols else (*cols, width - 1)
+    if rows is None and lines and not lines[0].isspace():  # a block of no data makes numpy warn
+        try:
+            pts = np.loadtxt(lines, dtype=np.float64, comments=None, delimiter=delimiter, usecols=use, ndmin=2)
+            if pts.shape == (len(lines), width if use is None else len(use)):
+                return pts[:, list(cols)] if use is None else pts[:, : len(cols)]
+        except ValueError:
+            pass
+    if rows is None:
+        rows = list(map(str.split, lines)) if delimiter is None else list(csv.reader(lines))
+    return block_floats(rows, first, where, cols, width, exact, blank)
 
 
 def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
@@ -136,8 +148,8 @@ def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
 def _load_xyz(path: Path) -> np.ndarray:
     parts = [np.empty((0, 3))]
     with text_blocks(path) as blocks:
-        for first, rows in blocks:
-            parts.append(block_floats(rows, first, lambda i: f"{path}:{i}"))
+        for first, lines, _ in blocks:
+            parts.append(text_floats(lines, first, lambda i: f"{path}:{i}"))
     return np.concatenate(parts)
 
 
@@ -145,11 +157,13 @@ def _load_csv(path: Path) -> np.ndarray:
     cols = (0, 1, 2)
     parts = [np.empty((0, 3))]
     with text_blocks(path, csv_records=True) as blocks:
-        for first, rows in blocks:
-            if first == 1 and not _blank_record(rows[0]) and (named := _header_columns(rows[0], path)):
-                cols, rows[0] = named, []
-            parts.append(block_floats(rows, first, lambda i: f"{path}:{i}", cols, max(cols) + 1,
-                                      exact=False, blank=_blank_record))
+        for first, lines, rows in blocks:
+            if first == 1:
+                head = rows[0] if rows else next(csv.reader(lines[:1]))
+                if not _blank_record(head) and (named := _header_columns(head, path)):
+                    cols, first, lines, rows = named, 2, lines[1:], rows and rows[1:]
+            parts.append(text_floats(lines, first, lambda i: f"{path}:{i}", cols, max(cols) + 1,
+                                     exact=False, blank=_blank_record, delimiter=",", rows=rows))
     return np.concatenate(parts)
 
 
@@ -255,9 +269,9 @@ def _read_ply_ascii_vertices(f, header: dict, path: Path) -> np.ndarray:
     parts = [np.empty((0, 3))]
     with io.TextIOWrapper(f, encoding="ascii", errors="replace", newline="\n") as text:
         lines = islice(text, min(skip, sys.maxsize), min(skip + n, sys.maxsize))
-        for first, rows in row_blocks(map(str.split, lines), first=0):
-            parts.append(block_floats(rows, first, lambda i: f"{path}: vertex {i}", cols, len(names),
-                                      exact=False, blank=None))
+        for first, block in row_blocks(lines, first=0):
+            parts.append(text_floats(block, first, lambda i: f"{path}: vertex {i}", cols, len(names),
+                                     exact=False, blank=None))
     pts = np.concatenate(parts)
     if len(pts) < n:
         raise ParseError(f"{path}: expected {n} vertices, file ends at {len(pts)}")

@@ -218,17 +218,20 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 def model_from_dict(d: dict) -> FittedModel:
     """Inverse of ``FittedModel.to_dict``. Malformed state, such as an
-    array whose shape does not fit the feature count, is a ValueError that
-    names the member and the field."""
+    array whose shape does not fit the feature count, or a missing key is
+    a ValueError that names the member and the field."""
     try:
-        cls = _MODEL_KINDS[d["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown model kind {d.get('kind')!r}") from None
-    spec = spec_from_dict(d["spec"])
+        spec = spec_from_dict(d["spec"])
+    except KeyError as exc:
+        raise ValueError(f"a member or its spec lacks key {exc}") from None
     try:
+        if d["kind"] not in _MODEL_KINDS:
+            raise ValueError(f"unknown model kind {d['kind']!r}")
         check_settings(spec)
-        model = cls._from_state(spec, d["feature_mean"], d["feature_scale"], d["state"])
+        model = _MODEL_KINDS[d["kind"]]._from_state(spec, d["feature_mean"], d["feature_scale"], d["state"])
         model._check_state()
+    except KeyError as exc:
+        raise ValueError(f"member {spec.name!r}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"member {spec.name!r}: {exc}") from None
     return model

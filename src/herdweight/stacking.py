@@ -261,4 +261,8 @@ def ensemble_from_dict(d: dict) -> StackedEnsemble:
         raise ValueError(f"{len(ensemble.specs)} specs but {len(ensemble.models)} models")
     if ensemble.weights.shape != (len(ensemble.models),):
         raise ValueError(f"{len(ensemble.models)} models but weights of shape {ensemble.weights.shape}")
+    if "n_features" in d:  # train writes it; ensemble_to_dict alone does not
+        check_number("n_features", d["n_features"], integer=True)
+        if {m.n_features for m in ensemble.models} != {d["n_features"]}:
+            raise ValueError(f"n_features is {d['n_features']}, but a member takes another number")
     return ensemble

@@ -431,6 +431,7 @@ def _model_json(**fields):
     pytest.param(_model_json(intercept=10**400), id="intercept-400-digits"),
     pytest.param(_model_json(specs=[{"name": "ols", "family": "ols", "params": 5, "seed": 0}]),
                  id="spec-params-number"),
+    pytest.param(_model_json(n_features=7), id="n-features-differs"),
     pytest.param(b"\xff{}", id="not-utf8"),
     pytest.param(b"[" * 200_000, id="nested-too-deep"),
 ])
@@ -703,6 +704,7 @@ _NOT_NUMBERS = [
     ("cleaning", {"inlier_threshold": float("nan")}), ("cleaning", {"max_planes": 1.5}),
     ("cleaning", {"threshold_is_relative": "no"}),
     pytest.param("stacking", {"alpha": 10**400}, id="stacking-alpha=400-digits"),
+    pytest.param("cleaning", {"max_iterations": 10**400}, id="cleaning-max_iterations=400-digits"),
     ("models", {"specs": [{"name": "m", "family": "ols", "params": 5}]}),
     ("models", {"specs": [{"name": "m", "family": "ols", "params": "ab"}]}),
     ("models", {"specs": [{"name": "m", "family": "ols", "seed": 2.7}]}),

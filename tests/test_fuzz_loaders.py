@@ -90,7 +90,10 @@ def test_clean_exit_code_on_hostile_files(files):
 
 NUMBERS = ["0", "-1.5", "2e3", "1_000", "١٢", ".5", "+7.", "-0.0", "4.9e-324", "1e-400", "0.1",
            "123456.789"]
-JUNK = ["x", "1..2", "_1", "1_", "--1", "0x10", "1,5", "١x", "nan", "-inf"]
+# The last seven are spellings that numpy's reader might take otherwise than
+# float(): a comment sign, a quoted number, and non-finite values.
+JUNK = ["x", "1..2", "_1", "1_", "--1", "0x10", "1,5", "١x", "nan", "-inf", "#", "1#2", '"1"', "inf",
+        "Infinity", "NaN", "1e999"]
 number = st.sampled_from(NUMBERS)
 token = st.sampled_from(NUMBERS * 3 + JUNK)
 line_kind = st.sampled_from(["good"] * 12 + ["blank", "short", "long", "junk"])
@@ -113,7 +116,7 @@ def _row(draw, width):
 def xyz_texts(draw):
     lines = []
     for _ in range(draw(st.integers(0, 9))):
-        sep = draw(st.sampled_from([" ", "\t", "  ", "\x1c", "\x0b", " \x0c"]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\x1c", "\x0b", " \x0c", "\xa0", "\u3000"]))
         pad = draw(st.sampled_from(["", " ", "\t"]))
         lines.append(pad + sep.join(_row(draw, 3)) + pad)
     ends = st.sampled_from(["\n", "\r\n", "\r"])
@@ -152,7 +155,7 @@ def ply_texts(draw):
     head += f"element vertex {n}\n" + "".join(f"property float {p}\n" for p in names) + "end_header\n"
     lines = [draw(st.sampled_from(["0", "junk", "", "é"])) for _ in range(skip)]
     for _ in range(max(n + draw(st.sampled_from([0, 0, 0, 1, -1, -2])), 0)):
-        lines.append(draw(st.sampled_from([" ", "\t"])).join(_row(draw, len(names))))
+        lines.append(draw(st.sampled_from([" ", "\t", "\xa0", "\u3000"])).join(_row(draw, len(names))))
     body = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
     cols = tuple(names.index(a) for a in "xyz")
     return (head + body).encode("utf-8"), n, skip, len(names), cols

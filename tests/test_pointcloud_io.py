@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from herdweight import files, pointcloud
 from herdweight.errors import EmptyCloud, IoError, NonFiniteCoordinate, ParseError
 from herdweight.pointcloud import (
     CSV_FORMAT,
@@ -218,6 +219,10 @@ def test_csv_reader_error_is_parse_error(tmp_path):
     p.write_text("0,0,0\n1," + "1" * 200_000 + ",0\n")
     with pytest.raises(ParseError, match=":2: field larger than field limit"):
         load_point_cloud(p, CSV_FORMAT)
+    with pytest.MonkeyPatch.context() as mp:  # the record in a later block
+        mp.setattr(files, "BLOCK_ROWS", 1)
+        with pytest.raises(ParseError, match=":2: field larger than field limit"):
+            load_point_cloud(p, CSV_FORMAT)
 
 
 def test_first_bad_line_is_reported(tmp_path):
@@ -233,6 +238,10 @@ def test_first_bad_line_is_reported(tmp_path):
     p.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
                  "property float z\nend_header\n0 0 0\n1 1\n")
     with pytest.raises(ParseError, match="vertex 1: expected 3 fields"):
+        load_point_cloud(p, PLY_ASCII)
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+                 "property float z\nproperty uchar red\nend_header\n0 0 0 9\n1 1 1\n")
+    with pytest.raises(ParseError, match="vertex 1: expected 4 fields, got 3"):
         load_point_cloud(p, PLY_ASCII)
     p.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
                  "property float z\nend_header\n0 0 0\n1 1 1\n")
@@ -252,6 +261,23 @@ def test_text_values_match_float_token_by_token(tmp_path):
     p = tmp_path / "odd.csv"
     p.write_text("x,y,z\n" + "\n".join(",".join(f"\x1c{t} " for t in tokens[i:i + 3]) for i in (0, 3, 6)))
     np.testing.assert_array_equal(load_point_cloud(p, CSV_FORMAT).points, want)
+
+
+@pytest.mark.parametrize("fmt", [XYZ_ASCII, CSV_FORMAT, PLY_ASCII])
+def test_saved_text_is_converted_by_numpy_alone(tmp_path, monkeypatch, fmt):
+    """Every block of a file that save_point_cloud writes, the CSV header's
+    block and a short last block included, is converted by numpy's reader:
+    the exact row-by-row path is never taken."""
+    cloud = PointCloud(np.random.default_rng(7).normal(size=(1000, 3)))
+    p = tmp_path / "cloud"
+    save_point_cloud(cloud, p, fmt)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clean block took the exact path")
+
+    monkeypatch.setattr(pointcloud, "block_floats", refuse)
+    monkeypatch.setattr(files, "BLOCK_ROWS", 300)
+    assert load_point_cloud(p, fmt).points.tobytes() == cloud.points.tobytes()
 
 
 @pytest.mark.parametrize("fmt", [XYZ_ASCII, CSV_FORMAT, PLY_ASCII])

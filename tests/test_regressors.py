@@ -325,7 +325,7 @@ def test_serialisation_roundtrip_bit_exact_all_families():
         model_from_dict({**json.loads(payload), "kind": "svm"})
     no_scale = json.loads(payload)
     del no_scale["feature_scale"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=f"member {no_scale['spec']['name']!r}: missing key 'feature_scale'"):
         model_from_dict(no_scale)
 
 
