@@ -27,15 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, EmptyResult, TooFewPoints, check_settings, setting
-from .pointcloud import PointCloud, as_points
+from .errors import CoordinateOverflow, DegenerateCloud, EmptyResult, TooFewPoints, check_settings, setting
+from .pointcloud import PointCloud, as_points, axis_spans, covariance
 
-# Hypotheses are scored in chunks of _HYPOTHESIS_CHUNK against blocks of
-# _POINT_BLOCK points. The (chunk, block) buffers take about 0.6 MB
-# whatever the cloud size, small enough to stay in a 2 MB L2 cache between
-# passes. The stopping rule is checked after each chunk, so a smaller
-# chunk stops nearer its bound; 64 scored fewer hypotheses than 128 but was
-# no faster on 3.8k-point scans, where each call's fixed cost takes over.
+# Hypotheses are scored in chunks of at most _HYPOTHESIS_CHUNK against
+# blocks of at least _POINT_BLOCK points, the wider the smaller the chunk,
+# so the (chunk, block) buffers take at most 0.6 MB whatever the cloud size,
+# small enough to stay in a 2 MB L2 cache between passes. The stopping rule
+# is checked after each chunk, so a smaller chunk stops nearer its bound; 64
+# scored fewer hypotheses than 128 but was no faster on 3.8k-point scans,
+# where each call's fixed cost takes over.
 _HYPOTHESIS_CHUNK = 128
 _POINT_BLOCK = 512
 # Samples are drawn and pre-tested this many at a time, and the survivors
@@ -102,29 +103,25 @@ def resolve_threshold(points, params: RansacParams) -> float:
     """Absolute inlier threshold in metres for this cloud."""
     if not params.threshold_is_relative:
         return params.inlier_threshold
-    pts = as_points(points)
-    diagonal = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    with np.errstate(over="ignore"):  # an overflow is raised below, not warned
+        diagonal = float(np.linalg.norm(axis_spans(as_points(points))))
     if diagonal == 0.0:
         raise DegenerateCloud("all points coincide; bounding box has no diagonal")
+    if diagonal == math.inf:
+        raise CoordinateOverflow("coordinates too large: their bounding-box diagonal overflows float64")
     return params.inlier_threshold * diagonal
 
 
 def _check_not_collinear(pts: np.ndarray) -> None:
-    centred = pts - pts.mean(axis=0)
-    cov = (centred.T @ centred) / pts.shape[0]
-    eigvals = np.linalg.eigvalsh(cov)  # ascending
+    eigvals = np.linalg.eigvalsh(covariance(pts)[1])  # ascending
     if eigvals[1] <= 1e-12 * max(eigvals[2], 1e-300):
         raise DegenerateCloud("points are collinear (or coincident); no plane is defined")
 
 
 def _tls_plane(pts: np.ndarray, rows) -> PlaneModel:
     """Total-least-squares plane of ``pts[rows]``: smallest eigenvector of
-    their covariance. ``rows`` is an index or a mask; the gathered copy is
-    centred in place, so it is the only one."""
-    centred = pts[rows]
-    centroid = centred.mean(axis=0)
-    centred -= centroid
-    cov = (centred.T @ centred) / centred.shape[0]
+    their covariance. ``rows`` is an index or a mask."""
+    centroid, cov = covariance(pts, rows)
     _, vecs = np.linalg.eigh(cov)
     normal = vecs[:, 0]
     flip = np.argmax(np.abs(normal))
@@ -281,12 +278,12 @@ def _refine(pts, unit, offset, threshold, least) -> tuple[PlaneModel, np.ndarray
 def _score_hypotheses(pts, normals, lengths, a, rows, threshold) -> np.ndarray:
     """Inlier count ``#{p : |p . n + d| <= threshold}`` of each hypothesis in `rows`.
 
-    Points are taken ``_POINT_BLOCK`` at a time, so the buffers hold
-    ``rows.size * _POINT_BLOCK`` values whatever the cloud size.
+    Blocks of ``_HYPOTHESIS_CHUNK * _POINT_BLOCK // rows.size`` points, at least ``_POINT_BLOCK``,
+    keep the buffers within ``_HYPOTHESIS_CHUNK * _POINT_BLOCK`` cells whatever the cloud size.
     """
     n = pts.shape[0]
     pts_t = np.ascontiguousarray(pts.T)  # (3, n): each block is a strided BLAS operand
-    block = min(_POINT_BLOCK, n)
+    block = min(max(_POINT_BLOCK, _HYPOTHESIS_CHUNK * _POINT_BLOCK // rows.size), n)
     dist_buf = np.empty((rows.size, block))
     mask_buf = np.empty((rows.size, block), dtype=bool)
     unit = normals[rows] / lengths[rows, None]
@@ -300,7 +297,7 @@ def _score_hypotheses(pts, normals, lengths, a, rows, threshold) -> np.ndarray:
         np.add(dist, offs, out=dist)
         np.abs(dist, out=dist)
         np.less_equal(dist, threshold, out=mask)
-        counts += np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int16)  # width <= 512 fits int16
+        counts += np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)  # a block may pass 32 767
     return counts
 
 

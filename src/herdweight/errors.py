@@ -20,6 +20,10 @@ class NonFiniteCoordinate(HerdWeightError):
     """A point carries a NaN or infinite coordinate."""
 
 
+class CoordinateOverflow(HerdWeightError):
+    """Coordinates so large that a statistic of the cloud overflows float64."""
+
+
 class EmptyCloud(HerdWeightError):
     """A point cloud with zero points where at least one is required."""
 

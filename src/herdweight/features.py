@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoplanarCloud, DegenerateCloud, HerdWeightError, TooFewPoints
-from .pointcloud import PointCloud, as_points
+from .pointcloud import PointCloud, as_points, axis_means, axis_spans, covariance
 
 FEATURE_SCHEMA_VERSION = 1
 
@@ -107,9 +107,7 @@ def pca_shape(cloud) -> ShapeEigen:
     pts = as_points(cloud)
     if pts.shape[0] < 4:
         raise TooFewPoints(f"shape analysis needs >= 4 points, got {pts.shape[0]}")
-    centred = pts - pts.mean(axis=0)
-    cov = (centred.T @ centred) / pts.shape[0]
-    vals, vecs = np.linalg.eigh(cov)
+    vals, vecs = np.linalg.eigh(covariance(pts)[1])
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order], 0.0)
     axes = vecs[:, order].T
@@ -125,9 +123,7 @@ def pca_shape(cloud) -> ShapeEigen:
 
 def oriented_extents(cloud, eig: ShapeEigen) -> tuple[float, float, float]:
     """Extents along the principal axes, sorted so l >= w >= h."""
-    pts = as_points(cloud)
-    proj = pts @ eig.axes.T
-    spans = np.sort(proj.max(axis=0) - proj.min(axis=0))[::-1]
+    spans = np.sort(axis_spans(as_points(cloud) @ eig.axes.T))[::-1]
     return float(spans[0]), float(spans[1]), float(spans[2])
 
 
@@ -150,7 +146,7 @@ def convex_hull(cloud) -> HullSummary:
         raise CoplanarCloud(f"convex hull is degenerate (coplanar points?): {exc}") from exc
     tri = pts[hull.simplices]  # (F, 3, 3)
     on_hull = np.bincount(hull.simplices.ravel(), minlength=pts.shape[0]).astype(bool)  # unsorted hull.vertices
-    centroid = pts[on_hull].mean(axis=0)
+    centroid = axis_means(pts[on_hull])
     rel = tri - centroid
     volume = float(np.abs(np.einsum("fi,fi->f", rel[:, 0], np.cross(rel[:, 1], rel[:, 2]))).sum() / 6.0)
     area = float(0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum())
@@ -211,8 +207,8 @@ def z_section_densities(cloud) -> tuple[float, float, float]:
 def moments(cloud) -> tuple[float, float, float, float, float, float]:
     """Per-axis mean and population standard deviation (divisor N)."""
     pts = as_points(cloud)
-    mean = pts.mean(axis=0)
-    std = pts.std(axis=0)
+    mean = axis_means(pts)
+    std = np.sqrt(axis_means(np.square(pts - mean)))  # pts.std(axis=0), bit for bit
     return (
         float(mean[0]), float(std[0]),
         float(mean[1]), float(std[1]),

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCloud, NonFiniteCoordinate, ParseError
+from .errors import CoordinateOverflow, EmptyCloud, NonFiniteCoordinate, ParseError
 from .files import output, row_blocks, text_blocks
 
 XYZ_ASCII = "xyz-ascii"
@@ -55,9 +55,8 @@ class PointCloud:
             raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
         if pts.shape[0] == 0:
             raise EmptyCloud("point cloud has no points")
-        bad = ~np.isfinite(pts).all(axis=1)
-        if bad.any():
-            raise NonFiniteCoordinate(f"non-finite coordinate at point {int(np.flatnonzero(bad)[0])}")
+        if not np.isfinite(pts).all():  # a row-by-row check costs ~35 ns a row: only for the message
+            raise NonFiniteCoordinate(f"non-finite coordinate at point {np.argmin(np.isfinite(pts).all(axis=1))}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -79,6 +78,35 @@ def as_points(cloud) -> np.ndarray:
     if isinstance(cloud, PointCloud):
         return cloud.points
     return PointCloud(np.asarray(cloud, dtype=np.float64)).points
+
+
+# Axis-0 reductions of a row-major (n, 3) array without numpy's loop over
+# rows (15-35 ns a row), to the bit: max and min are exact in any order, and
+# a column's add.accumulate adds in row order like numpy's sum, which starts
+# at +0.0 (hence "+ 0.0"); a column's .sum() adds pairwise, to other bits.
+
+
+def axis_means(pts: np.ndarray) -> np.ndarray:
+    """``pts.mean(axis=0)`` of a row-major (n, 3) array, bit for bit."""
+    return np.array([np.add.accumulate(pts[:, k])[-1] + 0.0 for k in range(3)]) / pts.shape[0]
+
+
+def axis_spans(pts: np.ndarray) -> np.ndarray:
+    """``pts.max(axis=0) - pts.min(axis=0)``; an all-zero column's 0 may differ in sign."""
+    return np.array([pts[:, k].max() - pts[:, k].min() for k in range(3)])
+
+
+def covariance(pts: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid and covariance (divisor N) of ``pts`` or of ``pts[rows]``, whose copy is centred
+    in place; CoordinateOverflow, not a numpy warning, if the covariance overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sub = pts if rows is None else pts[rows]
+        centroid = axis_means(sub)
+        centred = np.subtract(sub, centroid, out=None if rows is None else sub)
+        cov = (centred.T @ centred) / centred.shape[0]
+    if not np.isfinite(cov).all():
+        raise CoordinateOverflow("coordinates too large: their covariance overflows float64")
+    return centroid, cov
 
 
 def block_floats(rows, first: int, where, cols=(0, 1, 2), width: int = 3, exact: bool = True,

@@ -8,7 +8,7 @@ import pytest
 
 from herdweight import cleaning
 from herdweight.cleaning import RansacParams, fit_plane_ransac, remove_planes, segment_planes
-from herdweight.errors import DegenerateCloud, EmptyResult, TooFewPoints
+from herdweight.errors import CoordinateOverflow, DegenerateCloud, EmptyResult, TooFewPoints
 from herdweight.pointcloud import PointCloud
 from herdweight.synthetic import ellipsoid_cloud, stall_scene
 
@@ -108,6 +108,16 @@ def test_params_validation():
         RansacParams(inlier_threshold=0.0)
     with pytest.raises(ValueError):
         RansacParams(min_plane_fraction=1.0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e308])
+def test_overflowing_bounding_box_diagonal_is_an_error(scale):
+    """A relative threshold needs the bounding-box diagonal; where it
+    overflows float64 (in the norm, or already in a span), resolving it
+    raises CoordinateOverflow, not a numpy warning."""
+    pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) * scale
+    with pytest.raises(CoordinateOverflow, match="diagonal overflows"):
+        cleaning.resolve_threshold(pts, RansacParams())
 
 
 def _full_matrix_counts(pts, normals, lengths, a, rows, threshold):
@@ -322,3 +332,54 @@ def test_scoring_memory_does_not_grow_with_points():
             tracemalloc.stop()
         per_point.append(peak / cloud.n_points)
     assert per_point[1] < 0.8 * per_point[0], per_point
+
+
+def test_scoring_counts_past_int16():
+    """One hypothesis is scored against blocks wider than 32 767 points, so
+    its count must not wrap: all 40 001 coplanar points are inliers."""
+    rng = np.random.default_rng(2)
+    n = 40_001
+    pts = np.column_stack([rng.uniform(0, 3, n), rng.uniform(0, 2, n), np.zeros(n)])
+    counts = cleaning._score_hypotheses(pts, np.array([[0.0, 0.0, 2.0]]), np.array([2.0]),
+                                        np.zeros((1, 3)), np.array([0]), 1e-9)
+    assert counts.tolist() == [n]
+
+
+@pytest.mark.parametrize("r, n", [(1, 3_781), (1, 70_001), (13, 3_781), (13, 9_001),
+                                  (128, 3_781), (128, 9_001)])
+def test_score_hypotheses_matches_full_matrix(r, n):
+    """Counts equal the full matrix's whatever the chunk size, on clouds
+    that end in a part block."""
+    cloud, _ = stall_scene(seed=r, n_floor=n // 2, n_wall=n // 8, n_blob=n - n // 2 - 2 * (n // 8))
+    pts = cloud.points + np.random.default_rng(r).normal(scale=0.01, size=cloud.points.shape)
+    assert pts.shape[0] == n
+    block = max(cleaning._POINT_BLOCK, cleaning._HYPOTHESIS_CHUNK * cleaning._POINT_BLOCK // r)
+    assert n % block != 0
+    draws = np.random.default_rng(n).integers(0, n, size=(r, 3))
+    a, b, c = (pts[draws[:, k]] for k in range(3))
+    normals = np.cross(b - a, c - a)
+    lengths = np.linalg.norm(normals, axis=1)
+    rows = np.arange(r)
+    threshold = 0.02
+    counts = cleaning._score_hypotheses(pts, normals, lengths, a, rows, threshold)
+    np.testing.assert_array_equal(counts, _full_matrix_counts(pts, normals, lengths, a, rows, threshold))
+
+
+def test_small_chunk_on_a_chute_scan_is_one_block(monkeypatch):
+    """A chunk of 13 hypotheses on a 3 780-point scan takes one distance
+    block (one matmul): the point block widens as the chunk shrinks."""
+    pts = _blob()[:1500]
+    pts = np.vstack([pts, pts + 2.0, pts[:780] - 2.0])
+    assert pts.shape[0] == 3_780
+    calls = []
+    real = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cleaning.np, "matmul", counting)
+    rows = np.arange(13)
+    normals = np.tile([0.0, 0.0, 1.0], (13, 1))
+    counts = cleaning._score_hypotheses(pts, normals, np.ones(13), pts[:13], rows, 0.01)
+    assert len(calls) == 1 and calls[0] == (3, 3_780) and counts.shape == (13,)

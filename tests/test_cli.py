@@ -21,7 +21,7 @@ from herdweight.evaluation import kfold_split
 from herdweight.features import FEATURE_NAMES, extract_feature_vector
 from herdweight.pointcloud import PLY_BINARY_LE, XYZ_ASCII, PointCloud, save_point_cloud
 from herdweight.regressors import ModelSpec, fit
-from herdweight.synthetic import make_herd, stall_scene
+from herdweight.synthetic import ellipsoid_cloud, make_herd, stall_scene
 
 CUBE = np.array([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
 
@@ -160,6 +160,28 @@ def test_subdirectory_named_like_a_scan_is_skipped(tmp_path):
     (d / "gone.xyz").symlink_to(tmp_path / "missing.xyz")
     assert main(["clean", str(d), "--out", str(tmp_path / "c")]) == 1
     assert [r[0] for r in _read_csv(tmp_path / "c" / "summary.csv")[1:]] == ["cow"]
+
+
+@pytest.mark.parametrize("command, flags", [("clean", []), ("clean", ["--absolute"]), ("features", [])])
+def test_huge_coordinates_fail_alone(tmp_path, capsys, command, flags):
+    """A scan whose finite coordinates overflow its bounding-box diagonal and
+    covariance fails with one error line naming it, not a traceback; the
+    good scan's row is still written."""
+    d = tmp_path / "scans"
+    d.mkdir()
+    good, _ = stall_scene(seed=0, n_floor=600, n_wall=300, n_blob=500)
+    save_point_cloud(good, d / "good.xyz", XYZ_ASCII)
+    sphere = ellipsoid_cloud((1.0, 1.0, 1.0), 500, np.random.default_rng(0)).points
+    save_point_cloud(PointCloud(sphere * 1e200), d / "huge.xyz", XYZ_ASCII)
+    out = tmp_path / "out"
+    weights = tmp_path / "w.csv"
+    weights.write_text("animal_id,weight_kg\ngood,500\nhuge,620\n")
+    args = [command, str(d), *([str(weights)] if command == "features" else []), "--out", str(out), *flags]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'huge.xyz'}: ") and err.count("\n") == 1 and "overflows" in err
+    table = out / ("summary.csv" if command == "clean" else "dataset.csv")
+    assert [r[0] for r in _read_csv(table)[1:]] == ["good"]
 
 
 def test_features_two_clouds(tmp_path):

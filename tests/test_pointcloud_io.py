@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from herdweight import files, pointcloud
-from herdweight.errors import EmptyCloud, IoError, NonFiniteCoordinate, ParseError
+from herdweight.errors import CoordinateOverflow, EmptyCloud, IoError, NonFiniteCoordinate, ParseError
+from herdweight.features import moments
 from herdweight.pointcloud import (
     CSV_FORMAT,
     FORMATS,
@@ -158,6 +159,8 @@ def test_cloud_validation():
         PointCloud(np.empty((0, 3)))
     with pytest.raises(NonFiniteCoordinate):
         PointCloud(np.array([[0.0, 0.0, np.nan]]))
+    with pytest.raises(NonFiniteCoordinate, match="at point 2$"):
+        PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, -np.inf, 0.0], [np.nan, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((3, 2)))
 
@@ -297,3 +300,42 @@ def test_text_load_peak_memory_per_point_is_flat(tmp_path, fmt):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= 64
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 3780, 40_000])
+def test_column_helpers_match_numpy_axis_reductions(n):
+    """axis_means, covariance and moments give the bits of numpy's axis-0
+    mean, centred covariance and std; axis_spans those of max - min, and an
+    all-zero column's span compares equal to numpy's."""
+    rng = np.random.default_rng(n)
+    pts = (rng.normal(size=(n, 3)) * [1e-3, 2.0, 50.0] + [4e5, -3e7, 0.0]).astype(np.float32).astype(np.float64)
+    pts[rng.random(n) < 0.3, 2] = 0.0
+    pts[rng.random(n) < 0.3, 2] = -0.0
+    zeros = np.where(rng.random((n, 2)) < 0.5, 0.0, -0.0)
+    for cloud in (pts, np.column_stack([pts[:, 0], zeros]), np.full((n, 3), -0.0)):
+        assert pointcloud.axis_means(cloud).tobytes() == cloud.mean(axis=0).tobytes()
+        spans = pointcloud.axis_spans(cloud)
+        numpy_spans = cloud.max(axis=0) - cloud.min(axis=0)
+        assert np.array_equal(spans, numpy_spans)
+        nonzero = cloud.any(axis=0)
+        assert spans[nonzero].tobytes() == numpy_spans[nonzero].tobytes()
+        centred = cloud - cloud.mean(axis=0)
+        centroid, cov = pointcloud.covariance(cloud)
+        assert centroid.tobytes() == cloud.mean(axis=0).tobytes()
+        assert cov.tobytes() == ((centred.T @ centred) / n).tobytes()
+        rows = np.arange(0, n, 2)
+        _, sub_cov = pointcloud.covariance(cloud, rows)
+        sub = cloud[rows] - cloud[rows].mean(axis=0)
+        assert sub_cov.tobytes() == ((sub.T @ sub) / rows.size).tobytes()
+        mean, std = cloud.mean(axis=0), cloud.std(axis=0)
+        assert np.array(moments(cloud)).tobytes() == np.column_stack([mean, std]).ravel().tobytes()
+
+
+def test_overflowing_covariance_is_an_error_not_a_warning():
+    """Finite coordinates whose covariance overflows float64 raise
+    CoordinateOverflow; numpy's overflow warning would be an error here."""
+    pts = np.array([[1e200, 0.0, 0.0], [-1e200, 1.0, 0.0], [0.0, -1e200, 1e200]])
+    with pytest.raises(CoordinateOverflow, match="covariance overflows"):
+        pointcloud.covariance(pts)
+    with pytest.raises(CoordinateOverflow):
+        pointcloud.covariance(pts, np.array([0, 1]))
