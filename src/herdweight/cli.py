@@ -82,9 +82,10 @@ def _config(args):
 
 def _run_each(worker, tasks: list, jobs: int) -> list:
     """``worker(task)`` for each task, in order, in a pool of ``jobs``
-    processes when jobs > 1. A task that raises HerdWeightError or
-    OSError (a missing or unreadable file) gives the exception in place
-    of its result."""
+    processes, at most one per task, when jobs > 1. A task that raises
+    HerdWeightError or OSError (a missing or unreadable file) gives the
+    exception in place of its result."""
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -305,6 +306,13 @@ def _add_config_out(parser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer of 1 or more."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of 1 or more, got {text!r}")
+    return int(text)
+
+
 def _add_settings(parser, *settings) -> None:
     """One flag per (flag, dotted config key) that overrides that config value,
     of the type its field declares; --help shows the key as the flag's metavar."""
@@ -330,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p, ("--max-iterations", "cleaning.max_iterations"),
                   ("--min-plane-fraction", "cleaning.min_plane_fraction"),
                   ("--max-planes", "cleaning.max_planes"), ("--seed", "cleaning.seed"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, at most one per task")
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("features", help="extract feature vectors into a dataset CSV")
     p.add_argument("input", help="directory or glob of cleaned point cloud files")
     p.add_argument("weights", help="CSV of animal_id,weight_kg")
     _add_config_out(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, at most one per task")
     p.set_defaults(func=cmd_features)
 
     for name, help_text, func in (("cv", "cross-validated evaluation", cmd_cv),
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sweep", default="2..11" if name == "sweep" else None,
                            help="ensemble sizes LO..HI")
             p.add_argument("--audit", action="store_true", help="run the leakage audit")
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, at most one per task")
         p.set_defaults(func=func)
 
     p = sub.add_parser("predict", help="predict weights with a trained model")

@@ -132,22 +132,28 @@ def _build_specs(models_section: dict) -> list[ModelSpec]:
     return specs
 
 
+# Schedule kind -> the keys besides "kind" that it reads.
+_SCHEDULE_KEYS = {"geometric": {"sigma0", "decay"}, "constant": {"sigma0"}, "explicit": {"values"}}
+
+
 def _build_schedule(section: dict, steps: int) -> np.ndarray:
     _check_keys(section, {"kind", "sigma0", "decay", "values"}, "simulation.schedule")
     kind = section.get("kind", "geometric")
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
+        raise ConfigError(f"simulation.schedule.kind must be geometric/constant/explicit, got {kind!r}")
+    for key in sorted(set(section) - {"kind"} - _SCHEDULE_KEYS[kind]):
+        raise ConfigError(f"simulation.schedule: a {kind} schedule does not read key {key!r}")
     values = {**DEFAULT_SCHEDULE, **section}
     try:
         if kind == "geometric":
             return geometric_schedule(values["sigma0"], values["decay"], steps)
         if kind == "constant":
             return constant_schedule(values["sigma0"], steps)
-        if kind == "explicit":
-            return as_numbers("values", section["values"])
+        return as_numbers("values", section["values"])
     except KeyError:   # only "values" can be missing
         raise ConfigError("simulation.schedule: explicit schedule needs 'values'") from None
     except Exception as exc:
         raise ConfigError(f"simulation.schedule: {exc}") from exc
-    raise ConfigError(f"simulation.schedule.kind must be geometric/constant/explicit, got {kind!r}")
 
 
 def _build(cls, name: str, section: dict, **extra):

@@ -179,9 +179,9 @@ class OuterFold:
 
     ``inner`` is the inner pass (``stacking.inner_pass``) on the
     outer-train rows, and ``base_test`` holds every spec refit on all
-    outer-train rows and predicted on the held-out rows (columns in rank
-    order). A stack of any size is scored from these with no further base
-    fit.
+    outer-train rows, in the inner pass's batches, and predicted on the
+    held-out rows (columns in rank order). A stack of any size is scored
+    from these with no further base fit.
     ``log``, kept for the leakage audit, holds every fit the fold makes:
     inner out-of-fold fits, combiner and refits.
     """
@@ -205,18 +205,12 @@ def _outer_fold_task(args) -> OuterFold:
     log = ProvenanceLog() if audit else None
     inner = stacking.inner_pass(X_train, y_train, specs,
                                 kfold_split(len(train_ids), inner_k, _inner_seed(outer_seed, fold)),
-                                log=log, sample_ids=train_ids)
-
-    def refit(spec):
-        if log is not None:
-            log.record(f"refit model={spec.name}", train_ids)
-        return stacking.fit_base(spec, X_train, y_train).predict(X_test)
-
+                                log=log, sample_ids=train_ids, X_test=X_test)
     if log is not None:
         log.record("combiner", train_ids)
     # column_stack, not fancy indexing: a C-ordered matrix keeps the
     # prediction's BLAS summation order, and so its last bit, fixed
-    base_test = np.column_stack([refit(specs[i]) for i in inner.order])
+    base_test = np.column_stack([inner.test[:, i] for i in inner.order])
     return OuterFold(train_ids=train_ids, test_ids=test_ids, inner=inner, base_test=base_test, log=log)
 
 
@@ -282,16 +276,16 @@ def nested_cv(X, y, specs, *, k: int = 5, inner_k: int = 5, seed: int = 0,
 
     With ``audit=True`` each fit (inner out-of-fold fits, combiner,
     refits) is tagged with the sample ids it saw, for the leakage audit.
-    Outer folds can run in parallel (``jobs``); the result is independent
-    of scheduling.
+    Outer folds can run in parallel (``jobs`` processes, at most one per
+    fold); the result is independent of scheduling.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     tasks = [(f, X, y, seed, k, list(specs), inner_k, audit) for f in range(k)]
-    if jobs > 1:
+    if min(jobs, k) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
             folds = list(pool.map(_outer_fold_task, tasks))
     else:
         folds = [_outer_fold_task(t) for t in tasks]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoplanarCloud, DegenerateCloud, HerdWeightError, TooFewPoints
-from .pointcloud import PointCloud, as_points, axis_means, axis_spans, covariance
+from .pointcloud import PointCloud, as_points, axis_means, axis_spans, centred, scatter
 
 FEATURE_SCHEMA_VERSION = 1
 
@@ -104,10 +104,14 @@ def pca_shape(cloud) -> ShapeEigen:
     Eigenvalues are sorted descending and clamped at zero; each axis is
     sign-fixed so its largest-magnitude component is positive.
     """
-    pts = as_points(cloud)
-    if pts.shape[0] < 4:
-        raise TooFewPoints(f"shape analysis needs >= 4 points, got {pts.shape[0]}")
-    vals, vecs = np.linalg.eigh(covariance(pts)[1])
+    return _shape(centred(as_points(cloud))[1])
+
+
+def _shape(rel: np.ndarray) -> ShapeEigen:
+    """``pca_shape`` of a cloud from its centred points."""
+    if rel.shape[0] < 4:
+        raise TooFewPoints(f"shape analysis needs >= 4 points, got {rel.shape[0]}")
+    vals, vecs = np.linalg.eigh(scatter(rel))
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order], 0.0)
     axes = vecs[:, order].T
@@ -206,9 +210,12 @@ def z_section_densities(cloud) -> tuple[float, float, float]:
 
 def moments(cloud) -> tuple[float, float, float, float, float, float]:
     """Per-axis mean and population standard deviation (divisor N)."""
-    pts = as_points(cloud)
-    mean = axis_means(pts)
-    std = np.sqrt(axis_means(np.square(pts - mean)))  # pts.std(axis=0), bit for bit
+    return _moments(*centred(as_points(cloud)))
+
+
+def _moments(mean: np.ndarray, rel: np.ndarray) -> tuple[float, float, float, float, float, float]:
+    """``moments`` of a cloud from its column means and centred points."""
+    std = np.sqrt(axis_means(np.square(rel)))  # pts.std(axis=0), bit for bit
     return (
         float(mean[0]), float(std[0]),
         float(mean[1]), float(std[1]),
@@ -227,8 +234,9 @@ def extract_feature_vector(cloud) -> FeatureVector:
     named in the message.
     """
     cloud = PointCloud.of_checked(as_points(cloud))  # checked here once, not again by each block
+    mean, rel = centred(cloud.points)   # one centring serves the shape and moment blocks
     try:
-        eig = pca_shape(cloud)
+        eig = _shape(rel)
     except HerdWeightError as exc:
         raise _tagged("shape", exc) from exc
     lam1, lam2, lam3 = eig.eigenvalues
@@ -250,7 +258,7 @@ def extract_feature_vector(cloud) -> FeatureVector:
             axis_percentiles(cloud, "y"),
             axis_percentiles(cloud, "z"),
             z_section_densities(cloud),
-            moments(cloud),
+            _moments(mean, rel),
         ]
     )
     return FeatureVector(values=values)

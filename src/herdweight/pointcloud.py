@@ -98,15 +98,27 @@ def axis_spans(pts: np.ndarray) -> np.ndarray:
 
 def covariance(pts: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Centroid and covariance (divisor N) of ``pts`` or of ``pts[rows]``, whose copy is centred
-    in place; CoordinateOverflow, not a numpy warning, if the covariance overflows float64."""
+    in place."""
+    centroid, rel = centred(pts, rows)
+    return centroid, scatter(rel)
+
+
+def centred(pts: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """``covariance``'s centroid and the rows centred on it, with no numpy warning on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         sub = pts if rows is None else pts[rows]
         centroid = axis_means(sub)
-        centred = np.subtract(sub, centroid, out=None if rows is None else sub)
-        cov = (centred.T @ centred) / centred.shape[0]
+        return centroid, np.subtract(sub, centroid, out=None if rows is None else sub)
+
+
+def scatter(rel: np.ndarray) -> np.ndarray:
+    """Covariance (divisor N) of centred rows; CoordinateOverflow, not a
+    numpy warning, if it overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (rel.T @ rel) / rel.shape[0]
     if not np.isfinite(cov).all():
         raise CoordinateOverflow("coordinates too large: their covariance overflows float64")
-    return centroid, cov
+    return cov
 
 
 def block_floats(rows, first: int, where, cols=(0, 1, 2), width: int = 3, exact: bool = True,

@@ -8,6 +8,7 @@ from .base import (
     ModelSpec,
     default_model_specs,
     fit,
+    fit_many,
     model_from_dict,
     spec_from_dict,
     spec_to_dict,
@@ -22,6 +23,7 @@ __all__ = [
     "ModelSpec",
     "default_model_specs",
     "fit",
+    "fit_many",
     "model_from_dict",
     "spec_from_dict",
     "spec_to_dict",

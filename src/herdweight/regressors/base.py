@@ -164,16 +164,6 @@ class FittedModel:
                 "state": self._state_dict()}
 
 
-def _standardisation(X: np.ndarray, identity: bool) -> tuple[np.ndarray, np.ndarray]:
-    d = X.shape[1]
-    if identity:
-        return np.zeros(d), np.ones(d)
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return mean, scale
-
-
 def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -201,8 +191,27 @@ def fit(spec: ModelSpec, X, y) -> FittedModel:
     validate_spec(spec)
     X, y = _validate_training_data(X, y)
     family = _FAMILY_TABLE[spec.family]
-    mean, scale = _standardisation(X, identity=not family.standardise)
+    if not family.standardise:
+        return fit_many(spec, X, y, [np.arange(len(y))])[0]
+    mean, scale = X.mean(axis=0), X.std(axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
     return family.fit(spec, (X - mean) / scale, y, mean, scale, **spec.resolved_params())
+
+
+def fit_many(spec: ModelSpec, X, y, row_sets) -> list[FittedModel]:
+    """``[fit(spec, X[r], y[r]) for r in row_sets]``, byte for byte, but
+    the tree families grow the trees of every row set in the same level
+    passes. X and y are checked whole."""
+    validate_spec(spec)
+    X, y = _validate_training_data(X, y)
+    family = _FAMILY_TABLE[spec.family]
+    if family.standardise or not row_sets:
+        return [fit(spec, X[r], y[r]) for r in row_sets]
+    row_sets = [np.arange(len(y))[r] for r in row_sets]
+    if any(r.size < 2 for r in row_sets):
+        raise ValueError("need at least 2 training samples")
+    d = X.shape[1]
+    return family.fit(spec, X, y, row_sets, np.zeros(d), np.ones(d), **spec.resolved_params())
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
@@ -239,7 +248,9 @@ def model_from_dict(d: dict) -> FittedModel:
 
 class Family(NamedTuple):
     """One regressor family: its hyperparameters, each a ``setting``, whether
-    features are standardised, and ``fit(spec, Xs, y, mean, scale, **params)``."""
+    features are standardised, and its fit. A family that standardises fits
+    one model, ``fit(spec, Xs, y, mean, scale, **params)``; a tree family
+    fits one per row set of raw X, ``fit(spec, X, y, row_sets, mean, scale, **params)``."""
 
     params: dict
     standardise: bool
@@ -261,16 +272,16 @@ _FAMILY_TABLE: Mapping[str, Family] = MappingProxyType({
     "huber": Family({"delta": setting(1.35, low=0, open_low=True), "max_iter": setting(100, low=1),
                      "tol": setting(1e-8, low=0, open_low=True)}, True, linear.fit_huber),
     "knn": Family({"k": setting(5, low=1)}, True, neighbors.fit_knn),
-    "decision_tree": Family({"max_depth": _max_depth(None)}, False, trees.fit_decision_tree),
+    "decision_tree": Family({"max_depth": _max_depth(None)}, False, trees.fit_decision_trees),
     "random_forest": Family({"n_trees": setting(300, low=1), "max_depth": _max_depth(None)}, False,
-                            partial(trees.fit_forest, bootstrap=True, random_thresholds=False)),
+                            partial(trees.fit_forests, bootstrap=True, random_thresholds=False)),
     "extra_trees": Family({"n_trees": setting(300, low=1), "max_depth": _max_depth(None)}, False,
-                          partial(trees.fit_forest, bootstrap=False, random_thresholds=True)),
+                          partial(trees.fit_forests, bootstrap=False, random_thresholds=True)),
     "adaboost": Family({"n_rounds": setting(200, low=1), "max_depth": _max_depth(4)}, False,
-                       trees.fit_adaboost),
+                       trees.fit_adaboosts),
     "gradient_boosting": Family({"n_rounds": setting(500, low=0), "max_depth": _max_depth(3),
                                  "learning_rate": setting(0.05, low=0, high=1, open_low=True)},
-                                False, trees.fit_gradient_boosting),
+                                False, trees.fit_gradient_boostings),
 })
 
 # Declaration order is the ranking's tie-break order.

@@ -6,14 +6,17 @@ between consecutive distinct sorted values or, for extra trees, one
 uniform draw between a candidate's node minimum and maximum. Exact ties
 go to the lowest feature index, then the lowest threshold.
 
-Trees grow one depth level at a time, every tree of an ensemble in the
-same pass: the pre-sorted, level-wise split search of XGBoost (Chen &
-Guestrin, KDD 2016). X is ranked once per fit. Each level orders every
-open node's rows by rank per candidate feature, takes the child sums from
-cumulative sums that restart at zero in the node, and partitions the rows
-stably between the children. Node means keep ``np.add.reduce``'s pairwise
-order and a ``TreeTable``'s dicts are depth first, so a saved tree is, to
-the last bit, the one a node-at-a-time, depth-first grower builds.
+Each family fits a batch: one model per row set of X, byte for byte the
+model a fit on those rows alone builds. Trees grow one depth level at a
+time, every tree of the batch in the same pass (boosting: every fit's
+tree of one round): the pre-sorted, level-wise split search of XGBoost
+(Chen & Guestrin, KDD 2016). X is ranked once per batch. Each level
+orders every open node's rows by rank per candidate feature, takes the
+child sums from cumulative sums that restart at zero in the node, and
+partitions the rows stably between the children. Node means keep
+``np.add.reduce``'s pairwise order and a ``TreeTable``'s dicts are depth
+first, so a saved tree is, to the last bit, the one a node-at-a-time,
+depth-first grower builds.
 
 Forest RNG contract: tree t draws from ``default_rng([seed, t])``, first
 its bootstrap (random forest only), then one ``random((k, w))`` per depth
@@ -108,6 +111,22 @@ class TreeTable:
                  "value": t.value[lo:hi].tolist()}
                 for lo, hi in zip(t.roots.tolist(), ends)]
 
+    def select(self, groups) -> list[TreeTable]:
+        """One table per group of tree indices, holding those trees in that
+        order, each stored contiguously and depth first."""
+        t = self._depth_first()
+        ends = np.append(t.roots[1:], t.value.size)
+        out = []
+        for which in groups:
+            lo = t.roots[which]
+            size = ends[which] - lo
+            base = np.cumsum(size) - size
+            shift = np.repeat(base - lo, size)   # a node's new index less its old
+            old = np.arange(shift.size) - shift
+            left, right = (np.where(a[old] >= 0, a[old] + shift, -1) for a in (t.left, t.right))
+            out.append(TreeTable(t.feature[old], t.threshold[old], left, right, t.value[old], base))
+        return out
+
     @classmethod
     def from_dicts(cls, dicts) -> TreeTable:
         """The trees of ``to_dicts`` dicts. A dict that does not hold one tree
@@ -170,25 +189,28 @@ def rank_columns(X) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([X.T, np.full((d, 1), np.nan)]), ranks
 
 
-def grow_trees(cols, y, idx, *, max_depth=None, mtry=None, random_thresholds=False, rngs=()):
-    """Grow one CART tree on the rows idx[t] of X (duplicates allowed) for
-    every t. ``cols`` is ``rank_columns(X)``; ``rngs`` holds one generator
-    per tree when trees draw. Returns the trees, nodes in level order,
-    and the leaf value of every draw, shape idx.shape.
+def grow_trees(cols, targets, rows, *, max_depth=None, mtry=None, random_thresholds=False, rngs=()):
+    """Grow one CART tree for every t on the rows rows[t] of X (duplicates
+    allowed), draw j with target targets[t][j]. Row sets may differ in
+    size, so the trees of many fits on subsets of one X share each level
+    pass. ``cols`` is ``rank_columns(X)``; ``rngs`` holds one generator per
+    tree when trees draw. Returns the trees, nodes in level order, and the
+    leaf value of every draw, trees' draws one after another.
     """
     xt, ranks = cols
-    (d, n_pad), (n_trees, m) = ranks.shape, idx.shape
-    # Slot t * m + j is draw j of tree t, row rows[t * m + j] of X. One more
-    # slot pads the ragged node rows of a level: it weighs 0, ranks last,
-    # compares false with every threshold and so goes right. The columns
-    # are flat: feature f of row r is entry f * n_pad + r.
-    rows = np.append(idx.reshape(-1), n_pad - 1)
+    d, n_pad = ranks.shape
+    n_trees, sizes = len(rows), np.array([len(r) for r in rows], dtype=np.intp)
+    # Slot s is a draw of some tree, row rows[s] of X. One more slot pads
+    # the ragged node rows of a level: it weighs 0, ranks last, compares
+    # false with every threshold and so goes right. The columns are flat:
+    # feature f of row r is entry f * n_pad + r.
+    rows = np.concatenate([*rows, [n_pad - 1]]).astype(np.intp)
     pad, all_feats = np.array([rows.size - 1]), np.arange(d)[None]
     c = d if mtry is None or mtry >= d else mtry
     draws = (d if c < d else 0) + (c if random_thresholds else 0)
-    bits = 1 << m.bit_length()   # a sort key holds a position below this
+    bits = 1 << int(sizes.max()).bit_length()   # a sort key holds a position below this
     xt, key = xt.reshape(-1), ranks.reshape(-1) * bits
-    ys, fitted = np.append(y[rows[:-1]], 0.0), np.empty(rows.size)
+    ys, fitted = np.concatenate([*targets, [0.0]]), np.empty(rows.size)
 
     def split_nodes(first, slots, sizes, tree_of, may_split):
         """Consecutive nodes of one level, from its node ``first`` on, in
@@ -264,7 +286,7 @@ def grow_trees(cols, y, idx, *, max_depth=None, mtry=None, random_thresholds=Fal
         children[1::2] = sizes - children[0::2]
         return value, first + split, feature, thr, parted[inside], children
 
-    slots, sizes, tree_of = np.arange(rows.size - 1), np.full(n_trees, m), np.arange(n_trees)
+    slots, tree_of = np.arange(rows.size - 1), np.arange(n_trees)
     levels, done = [], 0   # per level: node values, split nodes, their features and thresholds
     while sizes.size:
         may_split = max_depth is None or len(levels) < max_depth
@@ -283,7 +305,7 @@ def grow_trees(cols, y, idx, *, max_depth=None, mtry=None, random_thresholds=Fal
     left[split] = np.arange(n_trees, n_trees + 2 * split.size, 2)
     trees = TreeTable(feature, threshold, left, np.where(left >= 0, left + 1, -1), value,
                       np.arange(n_trees))
-    return trees, fitted[:-1].reshape(n_trees, m)
+    return trees, fitted[:-1]
 
 
 def _node_sums(yv, sizes, pos):
@@ -387,66 +409,74 @@ class GradientBoostingModel(TreeModel):
                                     self.learning_rate * leaves]), axis=0)[-1]
 
 
-def fit_decision_tree(spec: ModelSpec, Xs, y, mean, scale, *, max_depth) -> DecisionTreeModel:
-    tree, _ = grow_trees(rank_columns(Xs), y, np.arange(len(y))[None], max_depth=max_depth)
-    return DecisionTreeModel(spec, mean, scale, tree)
+def fit_decision_trees(spec: ModelSpec, X, y, row_sets, mean, scale, *,
+                       max_depth) -> list[DecisionTreeModel]:
+    table, _ = grow_trees(rank_columns(X), [y[r] for r in row_sets], row_sets, max_depth=max_depth)
+    return [DecisionTreeModel(spec, mean, scale, t)
+            for t in table.select(np.arange(len(row_sets))[:, None])]
 
 
-def fit_forest(spec: ModelSpec, Xs, y, mean, scale, *, n_trees, max_depth,
-               bootstrap: bool, random_thresholds: bool) -> ForestModel:
-    n, d = Xs.shape
-    rngs = [np.random.default_rng([spec.seed, t]) for t in range(n_trees)]
-    if bootstrap:
-        idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-    else:
-        idx = np.broadcast_to(np.arange(n), (n_trees, n))
-    trees, _ = grow_trees(rank_columns(Xs), y, idx, max_depth=max_depth,
-                          mtry=max(1, int(np.sqrt(d))), random_thresholds=random_thresholds,
-                          rngs=rngs)
-    return ForestModel(spec, mean, scale, trees)
+def fit_forests(spec: ModelSpec, X, y, row_sets, mean, scale, *, n_trees, max_depth,
+                bootstrap: bool, random_thresholds: bool) -> list[ForestModel]:
+    rngs, rows = [], []
+    for r in row_sets:
+        fit_rngs = [np.random.default_rng([spec.seed, t]) for t in range(n_trees)]
+        rows += [r[rng.integers(0, r.size, size=r.size)] if bootstrap else r for rng in fit_rngs]
+        rngs += fit_rngs
+    table, _ = grow_trees(rank_columns(X), [y[r] for r in rows], rows, max_depth=max_depth,
+                          mtry=max(1, int(np.sqrt(X.shape[1]))),
+                          random_thresholds=random_thresholds, rngs=rngs)
+    groups = np.arange(len(rows)).reshape(len(row_sets), n_trees)
+    return [ForestModel(spec, mean, scale, t) for t in table.select(groups)]
 
 
-def fit_adaboost(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds, max_depth) -> AdaBoostModel:
-    n = len(y)
-    rng = np.random.default_rng(spec.seed)
-    cols = rank_columns(Xs)
-    weights = np.full(n, 1.0 / n)
-    trees: list[TreeTable] = []
-    betas: list[float] = []
-    for _ in range(n_rounds):
-        idx = rng.choice(n, size=n, replace=True, p=weights)
-        tree, _ = grow_trees(cols, y, idx[None], max_depth=max_depth)
-        err = np.abs(tree.predict(Xs)[0] - y)
-        emax = float(err.max())
-        if emax <= 0.0:
-            # Perfect round dominates the median; nothing left to reweight.
-            trees.append(tree)
-            betas.append(1e-12)
-            break
-        loss = err / emax
-        avg_loss = float(weights @ loss)
-        if avg_loss >= 0.5:
-            if not trees:
-                trees.append(tree)
-                betas.append(0.5)
-            break
-        beta = avg_loss / (1.0 - avg_loss)
-        trees.append(tree)
-        betas.append(beta)
-        weights = weights * beta ** (1.0 - loss)
-        weights = weights / weights.sum()
-    return AdaBoostModel(spec, mean, scale, TreeTable.stack(trees), betas)
+def fit_adaboosts(spec: ModelSpec, X, y, row_sets, mean, scale, *, n_rounds,
+                  max_depth) -> list[AdaBoostModel]:
+    cols = rank_columns(X)
+    rngs = [np.random.default_rng(spec.seed) for _ in row_sets]
+    weights = [np.full(r.size, 1.0 / r.size) for r in row_sets]
+    kept, betas = [[] for _ in row_sets], [[] for _ in row_sets]   # per fit: its trees among all grown
+    tables, running = [], range(len(row_sets))
+    while running and len(tables) < n_rounds:
+        draws = [row_sets[i][rngs[i].choice(row_sets[i].size, size=row_sets[i].size, replace=True,
+                                            p=weights[i])] for i in running]
+        table, _ = grow_trees(cols, [y[r] for r in draws], draws, max_depth=max_depth)
+        first, leaves, still = sum(t.roots.size for t in tables), table.predict(X), []
+        tables.append(table)
+        for j, i in enumerate(running):
+            r = row_sets[i]
+            err = np.abs(leaves[j, r] - y[r])
+            emax = float(err.max())
+            if emax <= 0.0:   # a perfect round dominates the median; nothing left to reweight
+                kept[i].append(first + j)
+                betas[i].append(1e-12)
+                continue
+            loss = err / emax
+            avg_loss = float(weights[i] @ loss)
+            if avg_loss < 0.5 or not kept[i]:   # a bad round stops the fit, kept only as its first
+                kept[i].append(first + j)
+                betas[i].append(avg_loss / (1.0 - avg_loss) if avg_loss < 0.5 else 0.5)
+            if avg_loss < 0.5:
+                weights[i] = weights[i] * betas[i][-1] ** (1.0 - loss)
+                weights[i] = weights[i] / weights[i].sum()
+                still.append(i)
+        running = still
+    return [AdaBoostModel(spec, mean, scale, t, b)
+            for t, b in zip(TreeTable.stack(tables).select(kept), betas)]
 
 
-def fit_gradient_boosting(spec: ModelSpec, Xs, y, mean, scale, *, n_rounds,
-                          max_depth, learning_rate) -> GradientBoostingModel:
-    init = float(y.mean())
-    current = np.full(len(y), init)
-    cols, all_rows = rank_columns(Xs), np.arange(len(y))[None]
-    trees: list[TreeTable] = []
+def fit_gradient_boostings(spec: ModelSpec, X, y, row_sets, mean, scale, *, n_rounds, max_depth,
+                           learning_rate) -> list[GradientBoostingModel]:
+    cols, sizes = rank_columns(X), [r.size for r in row_sets]
+    inits = [float(y[r].mean()) for r in row_sets]
+    target, current = np.concatenate([y[r] for r in row_sets]), np.repeat(inits, sizes)
+    tables = []
     for _ in range(n_rounds):
         # a tree's leaf values on its training rows are its predictions
-        tree, fitted = grow_trees(cols, y - current, all_rows, max_depth=max_depth)
-        current = current + learning_rate * fitted[0]
-        trees.append(tree)
-    return GradientBoostingModel(spec, mean, scale, init, learning_rate, TreeTable.stack(trees))
+        table, fitted = grow_trees(cols, np.split(target - current, np.cumsum(sizes)[:-1]),
+                                   row_sets, max_depth=max_depth)
+        current = current + learning_rate * fitted
+        tables.append(table)
+    groups = np.arange(n_rounds * len(sizes)).reshape(n_rounds, len(sizes)).T
+    return [GradientBoostingModel(spec, mean, scale, init, learning_rate, t)
+            for init, t in zip(inits, TreeTable.stack(tables).select(groups))]

@@ -31,7 +31,7 @@ from .evaluation import FoldAssignment, compute_metrics
 from .regressors import (
     FittedModel,
     ModelSpec,
-    fit,
+    fit_many,
     model_from_dict,
     spec_from_dict,
     spec_to_dict,
@@ -69,31 +69,41 @@ class StackedEnsemble:
     ranking: ModelRanking
 
 
-def fit_base(spec: ModelSpec, X, y) -> FittedModel:
-    """Fit one base model; a fit error names the model it came from."""
+def fit_base(spec: ModelSpec, X, y, row_sets) -> list[FittedModel]:
+    """``fit_many``; a fit error names the model it came from."""
     try:
-        return fit(spec, X, y)
+        return fit_many(spec, X, y, row_sets)
     except HerdWeightError as exc:
         raise type(exc)(f"model {spec.name!r}: {exc}") from exc
 
 
-def oof_predictions(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None) -> np.ndarray:
+def oof_predictions(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None,
+                    X_test=None) -> np.ndarray:
     """(n, len(specs)) matrix of strictly out-of-fold predictions.
 
     Entry (i, m) is spec m's prediction for sample i from a model fit on
-    every fold except sample i's.
+    every fold except sample i's. Each spec fits all folds in one
+    ``fit_many`` batch. With ``X_test`` the batch also refits each spec on
+    all n rows, and that model's predictions for X_test's rows follow.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    n = len(y)
     if sample_ids is None:
-        sample_ids = np.arange(len(y))
-    out = np.empty((len(y), len(specs)))
-    for f in range(folds.k):
-        tr, te = folds.train_indices(f), folds.test_indices(f)
-        for m, spec in enumerate(specs):
-            model = fit_base(spec, X[tr], y[tr])
-            if log is not None:
-                log.record(f"oof fold={f} model={spec.name}", sample_ids[tr])
+        sample_ids = np.arange(n)
+    fits = [(f"oof fold={f} model=", folds.train_indices(f), folds.test_indices(f))
+            for f in range(folds.k)]
+    if X_test is not None:
+        fits.append(("refit model=", np.arange(n), np.arange(n, n + len(X_test))))
+        X = np.vstack([X, X_test])
+    if log is not None:
+        for stage, tr, _ in fits:
+            for spec in specs:
+                log.record(stage + spec.name, sample_ids[tr])
+    out = np.empty((len(X), len(specs)))
+    for m, spec in enumerate(specs):
+        models = fit_base(spec, X[:n], y, [tr for _, tr, _ in fits])
+        for model, (_, _, te) in zip(models, fits):
             out[te, m] = model.predict(X[te])
     return out
 
@@ -121,13 +131,16 @@ class InnerPass:
 
     ``oof`` is the out-of-fold matrix with columns in spec order, and
     ``order`` the spec index of each rank. The combiner of a stack of any
-    size is fit from this record with no further base fit.
+    size is fit from this record with no further base fit. ``test``, when
+    the pass had held-out rows, holds each spec refit on all rows and
+    predicted on them, columns in spec order.
     """
 
     folds: FoldAssignment
     oof: np.ndarray
     ranking: ModelRanking
     order: tuple[int, ...]
+    test: np.ndarray | None = None
 
     def combiner(self, y, m_top: int, alpha: float) -> tuple[np.ndarray, float]:
         """``fit_combiner`` on the columns of the top ``m_top`` ranks."""
@@ -137,11 +150,15 @@ class InnerPass:
         return fit_combiner(self.oof[:, self.order[:m_top]], y, self.folds, rank_mapes, alpha)
 
 
-def inner_pass(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None) -> InnerPass:
-    """Fit every spec on every fold of ``folds`` once and rank the specs."""
-    oof = oof_predictions(X, y, specs, folds, log=log, sample_ids=sample_ids)
+def inner_pass(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None,
+               X_test=None) -> InnerPass:
+    """Fit every spec on every fold of ``folds`` once and rank the specs;
+    with held-out rows ``X_test``, also refit every spec on all rows in
+    the same batches and predict them."""
+    oof = oof_predictions(X, y, specs, folds, log=log, sample_ids=sample_ids, X_test=X_test)
+    oof, test = oof[:len(y)], None if X_test is None else oof[len(y):]
     ranking, order = rank_base_models(y, oof, folds, specs)
-    return InnerPass(folds=folds, oof=oof, ranking=ranking, order=order)
+    return InnerPass(folds=folds, oof=oof, ranking=ranking, order=order, test=test)
 
 
 def ridge_combiner(meta: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
@@ -213,7 +230,7 @@ def fit_stack(X, y, specs, inner: InnerPass, *, m_top: int,
     y = np.asarray(y, dtype=np.float64)
     weights, intercept = inner.combiner(y, m_top, alpha)
     used = [specs[i] for i in inner.order[:len(weights)]]
-    models = [fit_base(spec, X, y) for spec in used]
+    models = [fit_base(spec, X, y, [np.arange(len(y))])[0] for spec in used]
     return StackedEnsemble(specs=used, models=models, weights=weights,
                            intercept=intercept, alpha=alpha, ranking=inner.ranking)
 

@@ -142,6 +142,30 @@ def test_clean_jobs_independent(scene_dir, tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
+def test_clean_and_cv_start_at_most_one_worker_per_task(scene_dir, herd_csv, small_config,
+                                                        tmp_path, pool_sizes):
+    """--jobs 100000 on 3 scans or 3 outer folds asks for 3 workers; the
+    stand-in pool starts no process."""
+    assert main(["clean", str(scene_dir), "--out", str(tmp_path / "c"), "--jobs", "100000"]) == 0
+    assert main(["cv", str(herd_csv), "--config", str(small_config), "--out", str(tmp_path / "cv"),
+                 "--jobs", "100000"]) == 0
+    single = tmp_path / "one"
+    single.mkdir()
+    (single / "cow_0.xyz").write_bytes((scene_dir / "cow_0.xyz").read_bytes())
+    assert main(["clean", str(single), "--out", str(tmp_path / "c1"), "--jobs", "4"]) == 0
+    assert pool_sizes == [3, 3]   # one scan runs in this process
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+@pytest.mark.parametrize("command", ["clean", "features", "cv", "sweep"])
+def test_jobs_below_one_is_a_usage_error(command, jobs, tmp_path, capsys, pool_sizes):
+    inputs = {"clean": ["scans"], "features": ["scans", "w.csv"]}.get(command, ["herd.csv"])
+    argv = [command, *(str(tmp_path / a) for a in inputs), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--jobs", jobs]) == 2
+    assert f"argument --jobs: must be an integer of 1 or more, got '{jobs}'" in capsys.readouterr().err
+    assert pool_sizes == [] and not (tmp_path / "out").exists()
+
+
 def test_subdirectory_named_like_a_scan_is_skipped(tmp_path):
     d = tmp_path / "scans"
     d.mkdir()
@@ -291,15 +315,16 @@ def test_cv_sweep_rows(herd_csv, small_config, tmp_path):
 
 @pytest.fixture()
 def fit_calls(monkeypatch):
-    """Counts every base-model fit the stacking layer makes."""
+    """Counts every base-model fit the stacking layer makes: one per row
+    set of a ``fit_many`` batch."""
     calls = []
-    real_fit = stacking.fit
+    real_fit_many = stacking.fit_many
 
-    def counting_fit(spec, X, y):
-        calls.append(spec.name)
-        return real_fit(spec, X, y)
+    def counting_fit_many(spec, X, y, row_sets):
+        calls.extend(spec.name for _ in row_sets)
+        return real_fit_many(spec, X, y, row_sets)
 
-    monkeypatch.setattr(stacking, "fit", counting_fit)
+    monkeypatch.setattr(stacking, "fit_many", counting_fit_many)
     return calls
 
 

@@ -147,10 +147,26 @@ def test_audit_reports_zero_violations_on_20_samples():
 
 def test_cross_validate_jobs_parallel_matches_serial():
     X, y = _herd(n=22, noise=3.0)
-    specs = [ModelSpec(name="ols", family="ols"), ModelSpec(name="knn", family="knn")]
+    specs = [ModelSpec(name="ols", family="ols"), ModelSpec(name="knn", family="knn"),
+             ModelSpec(name="tree", family="decision_tree", params={"max_depth": 3}),
+             ModelSpec(name="rf", family="random_forest", params={"n_trees": 5}, seed=1),
+             ModelSpec(name="et", family="extra_trees", params={"n_trees": 5}, seed=2),
+             ModelSpec(name="ada", family="adaboost", params={"n_rounds": 5}, seed=3),
+             ModelSpec(name="gb", family="gradient_boosting", params={"n_rounds": 10})]
     serial = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, jobs=1)
     parallel = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, jobs=2)
     assert serial.report.to_json_dict() == parallel.report.to_json_dict()
+
+
+def test_nested_cv_starts_at_most_one_worker_per_outer_fold(pool_sizes):
+    X, y = _herd(n=12, noise=3.0)
+    specs = [ModelSpec(name="ols", family="ols")]
+    serial = cross_validate(X, y, specs, k=3, inner_k=3, seed=4)
+    assert pool_sizes == []
+    for jobs in (2, 3, 100_000):
+        pooled = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, jobs=jobs)
+        assert pooled.report.to_json_dict() == serial.report.to_json_dict()
+    assert pool_sizes == [2, 3, 3]
 
 
 def test_sweep_duplicate_models_constant_metrics():

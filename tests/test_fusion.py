@@ -10,7 +10,7 @@ import pytest
 
 from herdweight import fusion
 from herdweight.config import build_config
-from herdweight.errors import InvalidSchedule, NonFiniteInput
+from herdweight.errors import ConfigError, InvalidSchedule, NonFiniteInput
 from herdweight.fusion import (
     CENTER_METHODS,
     FusionParams,
@@ -248,6 +248,25 @@ def test_schedule_validation():
 def test_schedule_helpers():
     np.testing.assert_allclose(geometric_schedule(2.0, 0.5, 4), [2.0, 1.0, 0.5, 0.25])
     np.testing.assert_array_equal(constant_schedule(0.3, 3), [0.3, 0.3, 0.3])
+
+
+@pytest.mark.parametrize("schedule, unread", [
+    ({"kind": "constant", "sigma0": 0.3, "decay": 0.5}, "decay"),
+    ({"kind": "geometric", "sigma0": 0.3, "values": [1.0, 0.5]}, "values"),
+    ({"sigma0": 0.3, "values": [1.0, 0.5]}, "values"),   # geometric by default
+    ({"kind": "explicit", "values": [1.0, 0.5], "sigma0": 0.3}, "sigma0"),
+    ({"kind": "explicit", "values": [1.0, 0.5], "decay": 0.5}, "decay"),
+])
+def test_schedule_key_the_kind_does_not_read_is_refused(schedule, unread):
+    kind = schedule.get("kind", "geometric")
+    message = rf"simulation.schedule: a {kind} schedule does not read key '{unread}'"
+    with pytest.raises(ConfigError, match=message):
+        build_config({"simulation": {"steps": 2, "schedule": schedule}})
+    read = {key: value for key, value in schedule.items() if key != unread}
+    config = build_config({"simulation": {"steps": 2, "schedule": read}})
+    resolved = config.resolved_dict()
+    assert resolved["simulation"]["schedule"]["kind"] == "explicit"
+    assert build_config(resolved).resolved_dict() == resolved
 
 
 def test_default_schedule_is_one_schedule():

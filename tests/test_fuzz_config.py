@@ -39,7 +39,8 @@ def hostile_configs(draw):
         return {where: {key: value}}
     if where == "schedule":
         kind = draw(st.sampled_from(["geometric", "constant", "explicit"]))
-        return {"simulation": {"steps": 4, "schedule": {"kind": kind, "values": [1.0] * 4, key: value}}}
+        values = {"values": [1.0] * 4} if kind == "explicit" else {}   # the keys a kind reads
+        return {"simulation": {"steps": 4, "schedule": {"kind": kind, **values, key: value}}}
     return {"models": {"specs": [{"name": "m", "family": where, "params": {key: value}}]}}
 
 

@@ -1,12 +1,13 @@
 """The level-wise CART grower against a node-at-a-time, depth-first
-reference grower, and the forest RNG contract."""
+reference grower, the forest RNG contract, and batches of fits against
+one fit per row set."""
 
 import json
 
 import numpy as np
 import pytest
 
-from herdweight.regressors import ModelSpec, fit, spec_to_dict, trees
+from herdweight.regressors import FAMILIES, ModelSpec, fit, fit_many, spec_to_dict, trees
 
 
 # --- oracle: the depth-first grower, one node at a time ----------------------
@@ -357,3 +358,66 @@ def test_many_tree_predict_memory_is_bounded(family, params, monkeypatch):
     np.testing.assert_array_equal(got, expected)
     # a block of 2^14 (tree, row) pairs takes about 1.4 MB; all 10^6 pairs at once took 57 MB
     assert peak < 4e6, (model.table.roots.size, peak)
+
+
+# --- batches: fit_many against one fit per row set ----------------------------
+
+_SMALL = {"decision_tree": {"max_depth": 4}, "random_forest": {"n_trees": 7},
+          "extra_trees": {"n_trees": 7}, "adaboost": {"n_rounds": 12, "max_depth": 2},
+          "gradient_boosting": {"n_rounds": 9, "learning_rate": 0.3}}
+
+
+def _ragged_row_sets(seed):
+    """A herd with tied x values and row sets of 3 to 59 of its 60 rows. At
+    seed 0, AdaBoost stops early on the 3-row set (a perfect round) and on
+    the last, 4-row set (a bad round) while the others run on."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, 6))
+    X[:, 2] = np.round(X[:, 2], 1)
+    y = 400.0 + 60.0 * X[:, 0] + 20.0 * rng.normal(size=60)
+    return X, y, [np.sort(rng.choice(60, size=s, replace=False)) for s in (40, 47, 12, 3, 59)] + \
+        [np.sort(np.random.default_rng(seed).choice(60, size=4, replace=False))]
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_fit_many_equals_fit_on_each_row_set_byte_for_byte(family):
+    X, y, row_sets = _ragged_row_sets(0)
+    spec = ModelSpec(name=family, family=family, params=_SMALL.get(family, {}), seed=3)
+    many = fit_many(spec, X, y, row_sets)
+    assert [json.dumps(m.to_dict()) for m in many] == \
+        [json.dumps(fit(spec, X[r], y[r]).to_dict()) for r in row_sets]
+    if family == "adaboost":   # fits stopped early, on a perfect and on a bad round, as others ran on
+        rounds = [m.betas.size for m in many]
+        assert rounds[3] < rounds[0] == _SMALL["adaboost"]["n_rounds"] and many[3].betas[-1] == 1e-12
+        assert rounds[5] < rounds[0] and many[5].betas[-1] != 1e-12, rounds
+
+
+def test_boosting_batch_grows_every_fit_in_one_pass_per_level(monkeypatch):
+    calls = []   # nodes in each pass
+    node_sums = trees._node_sums
+    monkeypatch.setattr(trees, "_CHUNK", 1 << 40)
+
+    def counted(yv, sizes, pos):
+        calls.append(sizes.size)
+        return node_sums(yv, sizes, pos)
+
+    monkeypatch.setattr(trees, "_node_sums", counted)
+    X, y, _ = _ragged_row_sets(1)
+    folds = [np.flatnonzero(np.arange(60) % 5 != f) for f in range(5)]
+    n_rounds, depth = 6, 3
+    spec = ModelSpec(name="gb", family="gradient_boosting",
+                     params={"n_rounds": n_rounds, "max_depth": depth}, seed=0)
+    fit_many(spec, X, y, folds)
+    assert calls[0] == len(folds)             # every fold's root in the first pass
+    assert len(calls) <= n_rounds * (depth + 1)
+
+
+@pytest.mark.parametrize("family", ["ols", "decision_tree", "gradient_boosting"])
+def test_fit_many_refuses_a_row_set_fit_refuses(family):
+    X, y, row_sets = _ragged_row_sets(2)
+    spec = ModelSpec(name=family, family=family, params=_SMALL.get(family, {}))
+    with pytest.raises(ValueError, match="need at least 2 training samples"):
+        fit(spec, X[[4]], y[[4]])
+    with pytest.raises(ValueError, match="need at least 2 training samples"):
+        fit_many(spec, X, y, [row_sets[0], np.array([4])])
+    assert fit_many(spec, X, y, []) == []
