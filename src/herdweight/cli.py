@@ -30,11 +30,11 @@ from .dataset import (
     save_dataset_csv,
 )
 from .errors import ConfigError, HerdWeightError, MissingWeight, ParseError
-from .evaluation import SweepRow, kfold_split, nested_cv
+from .evaluation import SweepRow, kfold_split, map_tasks, nested_cv
 from .features import extract_feature_vector
 from .files import read_json, write_csv, write_json
 from .fusion import simulate_trajectory
-from .pointcloud import detect_format, load_point_cloud, save_point_cloud
+from .pointcloud import SCAN_SUFFIXES, detect_format, load_point_cloud, save_point_cloud
 from .stacking import (
     StackedEnsemble,
     ensemble_from_dict,
@@ -43,8 +43,6 @@ from .stacking import (
     inner_pass,
     predict_stack,
 )
-
-_CLOUD_SUFFIXES = (".xyz", ".txt", ".csv", ".ply")
 
 # What fails one scan alone in clean and features, or a whole run (exit 1).
 _FAILURES = (HerdWeightError, OSError)
@@ -57,7 +55,7 @@ def _gather_inputs(pattern: str) -> list[Path]:
     """
     p = Path(pattern)
     if p.is_dir():
-        found = (q for q in p.iterdir() if q.suffix.lower() in _CLOUD_SUFFIXES)
+        found = (q for q in p.iterdir() if q.suffix.lower() in SCAN_SUFFIXES)
     else:
         found = map(Path, glob.glob(pattern))
     return sorted(q for q in found if q.is_file() or not q.exists())
@@ -80,21 +78,9 @@ def _config(args):
     return load_config(args.config, {k: v for k, v in vars(args).items() if "." in k})
 
 
-def _run_each(worker, tasks: list, jobs: int) -> list:
-    """``worker(task)`` for each task, in order, in a pool of ``jobs``
-    processes, at most one per task, when jobs > 1. A task that raises
-    HerdWeightError or OSError (a missing or unreadable file) gives the
-    exception in place of its result."""
-    jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(partial(_guarded, worker), tasks))
-    return [_guarded(worker, t) for t in tasks]
-
-
 def _guarded(worker, task):
+    """``worker(task)``, or the HerdWeightError or OSError (a missing or
+    unreadable file) it raised, in place of its result."""
     try:
         return worker(task)
     except _FAILURES as exc:
@@ -140,8 +126,8 @@ def cmd_clean(args) -> int:
     cleaned_dir = out / "cleaned"
     cleaned_dir.mkdir(exist_ok=True)
 
-    results = _run_each(_clean_one, [(str(f), config.cleaning, str(cleaned_dir)) for f in files],
-                        args.jobs)
+    results = map_tasks(partial(_guarded, _clean_one),
+                        [(str(f), config.cleaning, str(cleaned_dir)) for f in files], args.jobs)
     rows = [r for r in results if not isinstance(r, Exception)]
     failures = [(f, r) for f, r in zip(files, results) if isinstance(r, Exception)]
     # A failed scan's output from an earlier run goes, unless it is an
@@ -177,7 +163,8 @@ def cmd_features(args) -> int:
 
     first_of, rows, kg = {}, [], []   # first_of: id -> the file that gave its row
     failures = []
-    for f, item in zip(files, _run_each(_features_one, [str(f) for f in files], args.jobs)):
+    items = map_tasks(partial(_guarded, _features_one), [str(f) for f in files], args.jobs)
+    for f, item in zip(files, items):
         if isinstance(item, Exception):
             failures.append((f, item))
             continue

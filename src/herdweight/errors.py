@@ -52,6 +52,10 @@ class InvalidHyperparameter(HerdWeightError):
     """A model hyperparameter is unknown or outside its valid range."""
 
 
+class InsufficientData(HerdWeightError, ValueError):
+    """A fit has under two training rows, or no feature column."""
+
+
 class NonFiniteInput(HerdWeightError):
     """A feature matrix or target vector contains NaN or infinite values."""
 

@@ -4,10 +4,11 @@ The headline protocol is nested: an outer k-fold loop scores the full
 stacking procedure (rank on inner folds, build meta-features, fit the
 combiner, refit bases) on held-out folds it never touched, and the inner
 fold assignment is derived deterministically from (seed, outer fold).
-Each outer fold is fitted once (``nested_cv``); the report at any stack
-size, the ensemble-size sweep and the outer-fold ranking are all read
-from that one pass. Reported spread is the population std over fold
-values.
+Each outer fold is fitted once (``nested_cv``) into one
+``stacking.InnerPass``; the report at any stack size, the ensemble-size
+sweep, the outer-fold ranking and the leakage audit are all read from
+those records. Reported spread is the population std over fold values.
+``map_tasks`` is the package's one fan-out to worker processes.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ __all__ = [
     "AuditReport",
     "CVResult",
     "SweepRow",
-    "OuterFold",
     "NestedCV",
     "kfold_split",
     "compute_metrics",
+    "map_tasks",
     "nested_cv",
     "cross_validate",
     "ensemble_size_sweep",
@@ -173,66 +174,39 @@ def _inner_seed(seed: int, outer_fold: int) -> int:
     return int(np.random.SeedSequence([seed, outer_fold]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class OuterFold:
-    """One outer fold of nested CV, with every base fit it needs done once.
-
-    ``inner`` is the inner pass (``stacking.inner_pass``) on the
-    outer-train rows, and ``base_test`` holds every spec refit on all
-    outer-train rows, in the inner pass's batches, and predicted on the
-    held-out rows (columns in rank order). A stack of any size is scored
-    from these with no further base fit.
-    ``log``, kept for the leakage audit, holds every fit the fold makes:
-    inner out-of-fold fits, combiner and refits.
-    """
-
-    train_ids: np.ndarray
-    test_ids: np.ndarray
-    inner: InnerPass
-    base_test: np.ndarray
-    log: ProvenanceLog | None
-
-
-def _outer_fold_task(args) -> OuterFold:
+def _outer_fold_task(args) -> InnerPass:
     from . import stacking  # imported here to avoid a module cycle
 
-    fold, X, y, outer_seed, k, specs, inner_k, audit = args
-    outer = kfold_split(len(y), k, outer_seed)
-    train_ids = outer.train_indices(fold)
-    test_ids = outer.test_indices(fold)
-    X_train, y_train, X_test = X[train_ids], y[train_ids], X[test_ids]
-
+    fold, X, y, outer, inner_k, specs, audit = args
+    train_ids, test_ids = outer.train_indices(fold), outer.test_indices(fold)
     log = ProvenanceLog() if audit else None
-    inner = stacking.inner_pass(X_train, y_train, specs,
-                                kfold_split(len(train_ids), inner_k, _inner_seed(outer_seed, fold)),
-                                log=log, sample_ids=train_ids, X_test=X_test)
+    inner = stacking.inner_pass(X[train_ids], y[train_ids], specs,
+                                kfold_split(len(train_ids), inner_k, _inner_seed(outer.seed, fold)),
+                                log=log, sample_ids=train_ids, X_test=X[test_ids])
     if log is not None:
         log.record("combiner", train_ids)
-    # column_stack, not fancy indexing: a C-ordered matrix keeps the
-    # prediction's BLAS summation order, and so its last bit, fixed
-    base_test = np.column_stack([inner.test[:, i] for i in inner.order])
-    return OuterFold(train_ids=train_ids, test_ids=test_ids, inner=inner, base_test=base_test, log=log)
+    return inner
 
 
 @dataclass(frozen=True)
 class NestedCV:
-    """Every outer fold of one nested k-fold CV pass.
-
-    The report at any stack size, the ensemble-size sweep, the outer-fold
-    ranking and the leakage audit are all read from these records.
-    """
+    """Every outer fold of one nested k-fold CV pass: ``folds[f]`` is the
+    inner pass on the training rows of ``outer``'s fold f. The report at
+    any stack size, the ensemble-size sweep, the outer-fold ranking and
+    the leakage audit are all read from these records."""
 
     specs: tuple
     y: np.ndarray
     outer: FoldAssignment
-    folds: tuple[OuterFold, ...]
+    folds: tuple[InnerPass, ...]
 
     def metrics(self, m_top: int, alpha: float) -> MetricReport:
         """Held-out metrics of the stack over the top ``m_top`` members."""
         triples = []
-        for rec in self.folds:
-            w, b = rec.inner.combiner(self.y[rec.train_ids], m_top, alpha)
-            triples.append(compute_metrics(self.y[rec.test_ids], rec.base_test[:, :w.size] @ w + b))
+        for fold, inner in enumerate(self.folds):
+            w, b = inner.combiner(self.y[self.outer.train_indices(fold)], m_top, alpha)
+            triples.append(compute_metrics(self.y[self.outer.test_indices(fold)],
+                                           inner.test[:, :w.size] @ w + b))
         return report_from_triples(triples)
 
     def sweep(self, m_values, alpha: float) -> list[SweepRow]:
@@ -251,23 +225,36 @@ class NestedCV:
         from . import stacking  # imported here to avoid a module cycle
 
         oof = np.empty((len(self.y), len(self.specs)))
-        for rec in self.folds:
-            oof[np.ix_(rec.test_ids, rec.inner.order)] = rec.base_test
+        for fold, inner in enumerate(self.folds):
+            oof[np.ix_(self.outer.test_indices(fold), inner.order)] = inner.test
         return stacking.rank_base_models(self.y, oof, self.outer, self.specs)[0]
 
     def audit(self) -> AuditReport:
         """Leakage audit: no logged fit may have seen its fold's held-out rows."""
-        if any(rec.log is None for rec in self.folds):
+        if any(inner.log is None for inner in self.folds):
             raise ValueError("the nested pass ran without audit=True")
         n_fits, violations = 0, []
-        for fold, rec in enumerate(self.folds):
-            held_out = frozenset(int(i) for i in rec.test_ids)
-            n_fits += len(rec.log.records)
-            for stage, ids in rec.log.records:
+        for fold, inner in enumerate(self.folds):
+            held_out = frozenset(int(i) for i in self.outer.test_indices(fold))
+            n_fits += len(inner.log.records)
+            for stage, ids in inner.log.records:
                 if ids & held_out:
                     violations.append(f"fold {fold}: {stage} trained on held-out samples "
                                       f"{sorted(ids & held_out)}")
         return AuditReport(n_fits=n_fits, violations=tuple(violations))
+
+
+def map_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(task) for task in tasks]``, in a pool of ``jobs`` processes,
+    at most one per task, when that is more than one; the result is
+    independent of scheduling."""
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # at call time, so a test can replace it
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def nested_cv(X, y, specs, *, k: int = 5, inner_k: int = 5, seed: int = 0,
@@ -281,15 +268,10 @@ def nested_cv(X, y, specs, *, k: int = 5, inner_k: int = 5, seed: int = 0,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    tasks = [(f, X, y, seed, k, list(specs), inner_k, audit) for f in range(k)]
-    if min(jobs, k) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
-            folds = list(pool.map(_outer_fold_task, tasks))
-    else:
-        folds = [_outer_fold_task(t) for t in tasks]
-    return NestedCV(specs=tuple(specs), y=y, outer=kfold_split(len(y), k, seed), folds=tuple(folds))
+    outer = kfold_split(len(y), k, seed)
+    folds = map_tasks(_outer_fold_task, [(f, X, y, outer, inner_k, list(specs), audit) for f in range(k)],
+                      jobs)
+    return NestedCV(specs=tuple(specs), y=y, outer=outer, folds=tuple(folds))
 
 
 def cross_validate(X, y, specs, *, m_top=None, k: int = 5, inner_k: int = 5,

@@ -16,6 +16,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -30,6 +31,9 @@ PLY_ASCII = "ply-ascii"
 PLY_BINARY_LE = "ply-binary-le"
 
 FORMATS = (XYZ_ASCII, CSV_FORMAT, PLY_ASCII, PLY_BINARY_LE)
+
+# The format of each scan suffix; a .ply file's header tells binary from ascii.
+SCAN_SUFFIXES = {".xyz": XYZ_ASCII, ".txt": XYZ_ASCII, ".csv": CSV_FORMAT, ".ply": PLY_ASCII}
 
 _PLY_SCALAR_TYPES = {
     "char": "i1", "int8": "i1",
@@ -170,16 +174,9 @@ def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
     NonFiniteCoordinate, or EmptyCloud.
     """
     path = Path(path)
-    if fmt == XYZ_ASCII:
-        pts = _load_xyz(path)
-    elif fmt == CSV_FORMAT:
-        pts = _load_csv(path)
-    elif fmt == PLY_ASCII:
-        pts = _load_ply(path, binary=False)
-    elif fmt == PLY_BINARY_LE:
-        pts = _load_ply(path, binary=True)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    pts = _LOADERS[fmt](path)
     if len(pts) == 0:
         raise EmptyCloud(f"{path}: no points")
     return PointCloud(pts)
@@ -236,6 +233,10 @@ def _load_ply(path: Path, binary: bool) -> np.ndarray:
         if binary:
             return _read_ply_binary_vertices(f, header, path)
         return _read_ply_ascii_vertices(f, header, path)
+
+
+_LOADERS = {XYZ_ASCII: _load_xyz, CSV_FORMAT: _load_csv,
+            PLY_ASCII: partial(_load_ply, binary=False), PLY_BINARY_LE: partial(_load_ply, binary=True)}
 
 
 def _read_ply_header(f, path: Path) -> dict:
@@ -387,12 +388,10 @@ def detect_format(path: str | Path) -> str:
     """Guess the format of `path` from its suffix (sniffing PLY headers)."""
     path = Path(path)
     suffix = path.suffix.lower()
-    if suffix in (".xyz", ".txt"):
-        return XYZ_ASCII
-    if suffix == ".csv":
-        return CSV_FORMAT
-    if suffix == ".ply":
-        with open(path, "rb") as f:
-            head = f.read(512)
-        return PLY_BINARY_LE if b"binary_little_endian" in head else PLY_ASCII
-    raise ParseError(f"{path}: cannot infer format from suffix {suffix!r}")
+    if suffix not in SCAN_SUFFIXES:
+        raise ParseError(f"{path}: cannot infer format from suffix {suffix!r}")
+    if SCAN_SUFFIXES[suffix] != PLY_ASCII:
+        return SCAN_SUFFIXES[suffix]
+    with open(path, "rb") as f:
+        head = f.read(512)
+    return PLY_BINARY_LE if b"binary_little_endian" in head else PLY_ASCII

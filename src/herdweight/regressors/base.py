@@ -19,6 +19,7 @@ import numpy as np
 
 from ..errors import (
     DimensionMismatch,
+    InsufficientData,
     InvalidHyperparameter,
     NonFiniteInput,
     NonPositiveTarget,
@@ -172,9 +173,9 @@ def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"{X.shape[0]} rows of features but {y.shape[0]} targets")
     if X.shape[0] < 2:
-        raise ValueError("need at least 2 training samples")
+        raise InsufficientData("need at least 2 training samples")
     if X.shape[1] < 1:
-        raise ValueError("need at least 1 feature")
+        raise InsufficientData("need at least 1 feature")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise NonFiniteInput("training data contains NaN or Inf")
     if (y <= 0).any():
@@ -209,7 +210,7 @@ def fit_many(spec: ModelSpec, X, y, row_sets) -> list[FittedModel]:
         return [fit(spec, X[r], y[r]) for r in row_sets]
     row_sets = [np.arange(len(y))[r] for r in row_sets]
     if any(r.size < 2 for r in row_sets):
-        raise ValueError("need at least 2 training samples")
+        raise InsufficientData("need at least 2 training samples")
     d = X.shape[1]
     return family.fit(spec, X, y, row_sets, np.zeros(d), np.ones(d), **spec.resolved_params())
 

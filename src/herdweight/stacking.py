@@ -3,7 +3,8 @@
 Base models are ranked by cross-validated MAPE on a shared fold
 assignment. ``inner_pass`` fits every spec once on every fold and ranks
 them; ``train`` and each outer fold of nested CV fit their stack from
-that one record. The meta-features handed to the combiner are strictly
+that one record, which in nested CV also holds the outer fold's
+held-out predictions and its fit log. The meta-features handed to the combiner are strictly
 out-of-fold: sample i's column entries come from models fit with i's
 fold held out, so no target leaks into its own meta-feature. The
 combiner is a closed-form ridge on centred meta-features with an
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HerdWeightError, NonPositiveTarget, as_numbers, check_number
-from .evaluation import FoldAssignment, compute_metrics
+from .evaluation import FoldAssignment, ProvenanceLog, compute_metrics
 from .regressors import (
     FittedModel,
     ModelSpec,
@@ -131,9 +132,14 @@ class InnerPass:
 
     ``oof`` is the out-of-fold matrix with columns in spec order, and
     ``order`` the spec index of each rank. The combiner of a stack of any
-    size is fit from this record with no further base fit. ``test``, when
-    the pass had held-out rows, holds each spec refit on all rows and
-    predicted on them, columns in spec order.
+    size is fit from this record with no further base fit.
+
+    In nested CV this is the one record of an outer fold, made on its
+    training rows. ``test`` then holds each spec refit on all of them, in
+    the same batches, and predicted on the held-out rows: C-ordered, with
+    columns in rank order, so a stack of any size is scored from it with
+    no further fit. ``log``, kept for the leakage audit, holds every fit
+    the fold makes: inner out-of-fold fits, refits and combiner.
     """
 
     folds: FoldAssignment
@@ -141,6 +147,7 @@ class InnerPass:
     ranking: ModelRanking
     order: tuple[int, ...]
     test: np.ndarray | None = None
+    log: ProvenanceLog | None = None
 
     def combiner(self, y, m_top: int, alpha: float) -> tuple[np.ndarray, float]:
         """``fit_combiner`` on the columns of the top ``m_top`` ranks."""
@@ -156,9 +163,12 @@ def inner_pass(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None,
     with held-out rows ``X_test``, also refit every spec on all rows in
     the same batches and predict them."""
     oof = oof_predictions(X, y, specs, folds, log=log, sample_ids=sample_ids, X_test=X_test)
-    oof, test = oof[:len(y)], None if X_test is None else oof[len(y):]
+    oof, test = oof[:len(y)], oof[len(y):]
     ranking, order = rank_base_models(y, oof, folds, specs)
-    return InnerPass(folds=folds, oof=oof, ranking=ranking, order=order, test=test)
+    # column_stack, not fancy indexing: a C-ordered matrix keeps the
+    # prediction's BLAS summation order, and so its last bit, fixed
+    test = None if X_test is None else np.column_stack([test[:, i] for i in order])
+    return InnerPass(folds=folds, oof=oof, ranking=ranking, order=order, test=test, log=log)
 
 
 def ridge_combiner(meta: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:

@@ -611,6 +611,21 @@ def test_cli_import_loads_no_scipy_spatial():
     assert done.stdout == "False\n"
 
 
+@pytest.mark.parametrize("argv, n_animals", [
+    (["train", "--inner-k", "2"], 3),
+    (["cv", "--k", "2", "--inner-k", "2"], 4),
+], ids=["train", "cv"])
+def test_herd_too_small_for_its_folds_is_data_error(herd_csv, small_config, tmp_path, argv, n_animals):
+    """An inner fold that leaves one training row is one error line, not a traceback."""
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join(herd_csv.read_text().splitlines()[:n_animals + 1]) + "\n")
+    done = subprocess.run([sys.executable, "-m", "herdweight.cli", argv[0], str(small), *argv[1:],
+                           "--config", str(small_config), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=_env_with_package(), timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: model 'ols': need at least 2 training samples\n"
+
+
 @pytest.mark.parametrize("content, message", [
     (b"animal_id,weight_kg\n\xff,500\n", "not UTF-8 text (invalid start byte at byte 20)"),
     (b"animal_id,weight_kg\n" + b"x" * 200_000 + b",500\n", ":2: field larger than field limit"),

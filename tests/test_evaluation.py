@@ -153,9 +153,12 @@ def test_cross_validate_jobs_parallel_matches_serial():
              ModelSpec(name="et", family="extra_trees", params={"n_trees": 5}, seed=2),
              ModelSpec(name="ada", family="adaboost", params={"n_rounds": 5}, seed=3),
              ModelSpec(name="gb", family="gradient_boosting", params={"n_rounds": 10})]
-    serial = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, jobs=1)
-    parallel = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, jobs=2)
+    serial = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, audit=True, jobs=1)
+    parallel = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, audit=True, jobs=2)
     assert serial.report.to_json_dict() == parallel.report.to_json_dict()
+    # each worker's fit log travels back in its fold's record
+    assert parallel.audit.n_fits == serial.audit.n_fits == 3 * (3 * 7 + 1 + 7)
+    assert parallel.audit.violations == serial.audit.violations == ()
 
 
 def test_nested_cv_starts_at_most_one_worker_per_outer_fold(pool_sizes):

@@ -9,6 +9,7 @@ import pytest
 
 from herdweight.errors import (
     DimensionMismatch,
+    InsufficientData,
     InvalidHyperparameter,
     NonFiniteInput,
     NonPositiveTarget,
@@ -261,6 +262,12 @@ def test_fit_input_validation():
         fit(spec, X, y - y.max())
     with pytest.raises(DimensionMismatch):
         fit(spec, X, y[:-1])
+    # also ValueErrors, so a caller that catches ValueError still does
+    with pytest.raises(InsufficientData, match="need at least 2 training samples") as info:
+        fit(spec, X[:1], y[:1])
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(InsufficientData, match="need at least 1 feature"):
+        fit(spec, X[:, :0], y)
 
 
 def test_predict_validation():

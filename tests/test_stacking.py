@@ -216,6 +216,19 @@ def test_identical_base_models_share_weight():
     assert ens.weights[0] == pytest.approx(ens.weights[1], abs=1e-9)
 
 
+def test_inner_pass_test_columns_are_refits_in_rank_order():
+    X, y = _linear_herd(n=30, noise=1.0)
+    X_test, _ = _linear_herd(n=7, seed=1)
+    specs = [ModelSpec(name="mean", family="knn", params={"k": 30}),
+             ModelSpec(name="tree", family="decision_tree", params={"max_depth": 3}), OLS]
+    inner = inner_pass(X, y, specs, kfold_split(len(y), 5, 3), X_test=X_test)
+    assert inner.order == (2, 1, 0)
+    assert inner.test.shape == (7, 3) and inner.test.flags.c_contiguous
+    for r, i in enumerate(inner.order):
+        np.testing.assert_array_equal(inner.test[:, r], fit(specs[i], X, y).predict(X_test))
+    assert inner_pass(X, y, specs, kfold_split(len(y), 5, 3)).test is None
+
+
 def test_predict_stack_identity_and_average():
     X, y = _linear_herd(n=10)
     model = fit(OLS, X, y)
