@@ -334,7 +334,7 @@ def segment_planes(cloud, params: RansacParams) -> tuple[PointCloud, list[PlaneM
 
     if not keep.any():
         raise EmptyResult("plane removal deleted every point")
-    return PointCloud(pts[keep]), planes
+    return PointCloud.of_checked(pts[keep]), planes
 
 
 def remove_planes(cloud, params: RansacParams) -> PointCloud:

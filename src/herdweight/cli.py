@@ -126,17 +126,24 @@ def cmd_clean(args) -> int:
     cleaned_dir = out / "cleaned"
     cleaned_dir.mkdir(exist_ok=True)
 
-    results = map_tasks(partial(_guarded, _clean_one),
-                        [(str(f), config.cleaning, str(cleaned_dir)) for f in files], args.jobs)
+    first_of = {}   # output name -> the first scan with it; a later one fails alone
+    for f in files:
+        first_of.setdefault(f.name, f)
+    todo = list(first_of.values())
+    done = dict(zip(todo, map_tasks(partial(_guarded, _clean_one),
+                                    [(str(f), config.cleaning, str(cleaned_dir)) for f in todo], args.jobs)))
+    results = [done[f] if f in done else HerdWeightError(f"output name {f.name!r} repeats {first_of[f.name]}")
+               for f in files]
     rows = [r for r in results if not isinstance(r, Exception)]
     failures = [(f, r) for f, r in zip(files, results) if isinstance(r, Exception)]
     # A failed scan's output from an earlier run goes, unless it is an
-    # input: --out/cleaned may be the input directory. (realpath, unlike
-    # Path.resolve, does not raise on a symlink loop.)
+    # input (--out/cleaned may be the input directory) or a repeat's, whose
+    # path is the first scan's. (realpath, unlike Path.resolve, does not
+    # raise on a symlink loop.)
     inputs = {os.path.realpath(f) for f in files}
     for f, _ in failures:
         stale = cleaned_dir / f.name
-        if os.path.realpath(stale) not in inputs:
+        if f in done and os.path.realpath(stale) not in inputs:
             stale.unlink(missing_ok=True)
 
     header = ["animal_id", "points_before", "points_after", "planes_removed"]

@@ -55,16 +55,17 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_json(path, what: str, error):
-    """The JSON value in the UTF-8 file at ``path``; ``error`` names why
-    if the file is missing, unreadable, not UTF-8, not JSON or too deep."""
+    """The JSON value in the UTF-8 file at ``path``, after a byte-order
+    mark if it starts with one; ``error`` names why if the file is missing,
+    unreadable, not UTF-8, not JSON or too deep."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise error(f"{what} file not found: {path}") from None
     except OSError as exc:   # a directory, no permission
         raise error(f"{path}: cannot read {what}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8: {exc}") from None
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 ({_utf8_fault(path)})") from None
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
@@ -82,13 +83,14 @@ def row_blocks(rows, first: int = 1):
 @contextmanager
 def text_blocks(path, csv_records: bool = False):
     """``(number of its first row, its lines, None)`` for each block of
-    BLOCK_ROWS lines (rows) of a UTF-8 text file, open for the ``with``
-    block. From a CSV block with a quote, a NUL (refused by csv before
-    Python 3.11) or a line as long as csv's field limit on, a record may
-    span lines: the rest is ``(first, [], rows)``, `row_blocks` of CSV
-    records. Non-UTF-8 bytes and malformed CSV raise ParseError as their
-    block is read, before any other error in it."""
-    with open(path, encoding="utf-8", newline="" if csv_records else None) as f:
+    BLOCK_ROWS lines (rows) of a UTF-8 text file, after a byte-order mark
+    if it starts with one, open for the ``with`` block. From a CSV block
+    with a quote, a NUL (refused by csv before Python 3.11) or a line as
+    long as csv's field limit on, a record may span lines: the rest is
+    ``(first, [], rows)``, `row_blocks` of CSV records. Non-UTF-8 bytes
+    and malformed CSV raise ParseError as their block is read, before any
+    other error in it."""
+    with open(path, encoding="utf-8-sig", newline="" if csv_records else None) as f:
         try:
             yield _line_blocks(f, path, csv_records)
         except UnicodeDecodeError:

@@ -30,10 +30,11 @@ CSV_FORMAT = "csv"
 PLY_ASCII = "ply-ascii"
 PLY_BINARY_LE = "ply-binary-le"
 
-FORMATS = (XYZ_ASCII, CSV_FORMAT, PLY_ASCII, PLY_BINARY_LE)
-
 # The format of each scan suffix; a .ply file's header tells binary from ascii.
 SCAN_SUFFIXES = {".xyz": XYZ_ASCII, ".txt": XYZ_ASCII, ".csv": CSV_FORMAT, ".ply": PLY_ASCII}
+
+# The token a PLY header's format line names each PLY format by.
+_PLY_TOKENS = {PLY_ASCII: "ascii", PLY_BINARY_LE: "binary_little_endian"}
 
 _PLY_SCALAR_TYPES = {
     "char": "i1", "int8": "i1",
@@ -174,9 +175,7 @@ def load_point_cloud(path: str | Path, fmt: str) -> PointCloud:
     NonFiniteCoordinate, or EmptyCloud.
     """
     path = Path(path)
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    pts = _LOADERS[fmt](path)
+    pts = _format_io(fmt)[0](path)
     if len(pts) == 0:
         raise EmptyCloud(f"{path}: no points")
     return PointCloud(pts)
@@ -221,29 +220,22 @@ def _header_columns(rec: list[str], path: Path) -> tuple[int, int, int] | None:
         raise ParseError(f"{path}:1: header must name x, y and z columns, got {names}") from None
 
 
-def _load_ply(path: Path, binary: bool) -> np.ndarray:
+def _load_ply(fmt: str, read_vertices, path: Path) -> np.ndarray:
     with open(path, "rb") as f:
         header = _read_ply_header(f, path)
-        if header["binary"] != binary:
-            want = "binary_little_endian" if binary else "ascii"
-            raise ParseError(f"{path}: file is not format {want}")
-        n_vertex = header["n_vertex"]
-        if n_vertex == 0:
+        if header["format"] != fmt:
+            raise ParseError(f"{path}: file is not format {_PLY_TOKENS[fmt]}")
+        if header["n_vertex"] == 0:
             raise EmptyCloud(f"{path}: vertex element declares 0 vertices")
-        if binary:
-            return _read_ply_binary_vertices(f, header, path)
-        return _read_ply_ascii_vertices(f, header, path)
-
-
-_LOADERS = {XYZ_ASCII: _load_xyz, CSV_FORMAT: _load_csv,
-            PLY_ASCII: partial(_load_ply, binary=False), PLY_BINARY_LE: partial(_load_ply, binary=True)}
+        return read_vertices(f, header, path)
 
 
 def _read_ply_header(f, path: Path) -> dict:
+    """The format the last format line names (ascii if none does) and the vertex element."""
     magic = f.readline().strip()
     if magic != b"ply":
         raise ParseError(f"{path}: missing 'ply' magic line")
-    binary = False
+    fmt = PLY_ASCII
     elements: list[tuple[str, int, list[tuple[str, str]]]] = []
     props: list[tuple[str, str]] | None = None
     while True:
@@ -258,12 +250,9 @@ def _read_ply_header(f, path: Path) -> dict:
         if line.startswith("format"):
             if len(parts) < 2:
                 raise malformed
-            if parts[1] == "ascii":
-                binary = False
-            elif parts[1] == "binary_little_endian":
-                binary = True
-            else:
+            if parts[1] not in _PLY_TOKENS.values():
                 raise ParseError(f"{path}: unsupported PLY format {parts[1]!r}")
+            fmt = next(f for f, token in _PLY_TOKENS.items() if token == parts[1])
         elif line.startswith("element"):
             try:
                 _, name, count_text = parts
@@ -292,7 +281,7 @@ def _read_ply_header(f, path: Path) -> dict:
                 if axis not in names:
                     raise ParseError(f"{path}: vertex element lacks property {axis!r}")
             return {
-                "binary": binary,
+                "format": fmt,
                 "n_vertex": count,
                 "vertex_props": plist,
                 "before_vertex": elements[:pos],
@@ -355,37 +344,48 @@ def save_point_cloud(cloud: PointCloud, path: str | Path, fmt: str) -> None:
     and round-trips the float32 bits exactly.
     """
     pts = as_points(cloud)
-    if fmt == PLY_BINARY_LE:
-        with output(path, binary=True) as f:
-            f.write((_ply_header("binary_little_endian", len(pts)) + "\n").encode("ascii"))
-            f.write(pts.astype("<f4").tobytes())
-        return
-    # (separator, header lines) of each text format
-    text_formats = {XYZ_ASCII: (" ", ""), CSV_FORMAT: (",", "x,y,z\n"),
-                    PLY_ASCII: (" ", _ply_header("ascii", len(pts)) + "\n")}
-    if fmt not in text_formats:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    sep, head = text_formats[fmt]
+    _format_io(fmt)[1](pts, path)
+
+
+def _save_text(sep: str, head, pts: np.ndarray, path) -> None:
+    """``head(len(pts))``, then one line of shortest round-trip decimals split by ``sep`` a point."""
     with output(path) as f:
-        f.write(head)
+        f.write(head(len(pts)))
         for x, y, z in pts.tolist():
             f.write(f"{x!r}{sep}{y!r}{sep}{z!r}\n")
 
 
-def _ply_header(fmt_token: str, n: int) -> str:
-    return (
-        "ply\n"
-        f"format {fmt_token} 1.0\n"
-        f"element vertex {n}\n"
-        "property float x\n"
-        "property float y\n"
-        "property float z\n"
-        "end_header"
-    )
+def _save_ply_binary(pts: np.ndarray, path) -> None:
+    with output(path, binary=True) as f:
+        f.write(_ply_header(PLY_BINARY_LE, len(pts)).encode())
+        f.write(pts.astype("<f4").tobytes())
+
+
+def _ply_header(fmt: str, n: int) -> str:
+    return (f"ply\nformat {_PLY_TOKENS[fmt]} 1.0\nelement vertex {n}\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n")
+
+
+# The loader and the writer of each format
+_FORMAT_IO = {
+    XYZ_ASCII: (_load_xyz, partial(_save_text, " ", lambda n: "")),
+    CSV_FORMAT: (_load_csv, partial(_save_text, ",", lambda n: "x,y,z\n")),
+    PLY_ASCII: (partial(_load_ply, PLY_ASCII, _read_ply_ascii_vertices),
+                partial(_save_text, " ", partial(_ply_header, PLY_ASCII))),
+    PLY_BINARY_LE: (partial(_load_ply, PLY_BINARY_LE, _read_ply_binary_vertices), _save_ply_binary),
+}
+FORMATS = tuple(_FORMAT_IO)
+
+
+def _format_io(fmt: str) -> tuple:
+    """``fmt``'s (loader, writer)."""
+    if fmt not in _FORMAT_IO:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _FORMAT_IO[fmt]
 
 
 def detect_format(path: str | Path) -> str:
-    """Guess the format of `path` from its suffix (sniffing PLY headers)."""
+    """The format of `path` from its suffix; a .ply file's from its header."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix not in SCAN_SUFFIXES:
@@ -393,5 +393,4 @@ def detect_format(path: str | Path) -> str:
     if SCAN_SUFFIXES[suffix] != PLY_ASCII:
         return SCAN_SUFFIXES[suffix]
     with open(path, "rb") as f:
-        head = f.read(512)
-    return PLY_BINARY_LE if b"binary_little_endian" in head else PLY_ASCII
+        return _read_ply_header(f, path)["format"]

@@ -135,6 +135,30 @@ def test_clean_bad_ply_header_fails_alone(tmp_path, capsys, header_line):
     assert "bad.ply" in capsys.readouterr().err
 
 
+def test_clean_takes_a_ply_format_from_its_header(tmp_path, misleading_plys, capsys):
+    out = tmp_path / "out"
+    assert main(["clean", str(tmp_path / "plys"), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert sorted(p.name for p in (out / "cleaned").iterdir()) == ["ascii.ply", "binary.ply"]
+
+
+def test_clean_repeated_output_name_fails_alone(tmp_path, capsys):
+    """a/cow.xyz and b/cow.xyz would both write cleaned/cow.xyz: the later
+    fails, and the earlier's output stays."""
+    rng = np.random.default_rng(6)
+    for sub, n in (("a", 50), ("b", 40)):
+        (tmp_path / sub).mkdir()
+        save_point_cloud(PointCloud(rng.normal(size=(n, 3))), tmp_path / sub / "cow.xyz", XYZ_ASCII)
+    out = tmp_path / "out"
+    for jobs in ("1", "2"):
+        assert main(["clean", str(tmp_path / "*" / "cow.xyz"), "--out", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        later, earlier = tmp_path / "b" / "cow.xyz", tmp_path / "a" / "cow.xyz"
+        assert err == f"error: {later}: output name 'cow.xyz' repeats {earlier}\n"
+        [row] = _read_csv(out / "summary.csv")[1:]
+        assert row[:2] == ["cow", "50"]
+        assert (out / "cleaned" / "cow.xyz").read_text().count("\n") == int(row[2])
+
+
 def test_clean_jobs_independent(scene_dir, tmp_path):
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert main(["clean", str(scene_dir), "--out", str(out1), "--jobs", "1"]) == 0

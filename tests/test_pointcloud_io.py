@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from herdweight import files, pointcloud
+from herdweight.config import load_config
+from herdweight.dataset import load_weights_csv
 from herdweight.errors import CoordinateOverflow, EmptyCloud, IoError, NonFiniteCoordinate, ParseError
 from herdweight.features import moments
 from herdweight.pointcloud import (
@@ -120,12 +122,15 @@ def test_ply_binary_extra_properties_skipped(tmp_path):
     np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 2, 3]])
 
 
-def test_detect_format(tmp_path):
-    for fmt, name in ((XYZ_ASCII, "a.xyz"), (CSV_FORMAT, "a.csv"),
-                      (PLY_ASCII, "a1.ply"), (PLY_BINARY_LE, "a2.ply")):
-        p = tmp_path / name
+def test_detect_format(tmp_path, misleading_plys):
+    suffix = {fmt: s for s, fmt in pointcloud.SCAN_SUFFIXES.items()}
+    for i, fmt in enumerate(FORMATS):
+        p = tmp_path / f"a{i}{suffix.get(fmt, '.ply')}"
         save_point_cloud(PointCloud(TETRA), p, fmt)
         assert detect_format(p) == fmt
+    for fmt, p in misleading_plys.items():
+        assert detect_format(p) == fmt
+        load_point_cloud(p, fmt)
 
 
 def test_loader_rejects_infinite_values(tmp_path):
@@ -174,6 +179,20 @@ def test_non_utf8_text_is_parse_error(tmp_path, fmt, name):
     p.write_bytes(head + b"0 0 \xff\xfe\x00\x80 1\n")
     with pytest.raises(ParseError):
         load_point_cloud(p, fmt)
+
+
+@pytest.mark.parametrize("name, text, load, want", [
+    ("a.xyz", "0 0 0\n1 2 3\n", lambda p: load_point_cloud(p, XYZ_ASCII).points.tolist(), [[0, 0, 0], [1, 2, 3]]),
+    ("a.csv", "x,y,z\n0,0,0\n1,2,3\n", lambda p: load_point_cloud(p, CSV_FORMAT).points.tolist(),
+     [[0, 0, 0], [1, 2, 3]]),
+    ("w.csv", "animal_id,weight_kg\ncow1,500\n", load_weights_csv, {"cow1": 500.0}),
+    ("c.json", '{"evaluation": {"k": 3}}', lambda p: load_config(p).evaluation.k, 3),
+], ids=["xyz-scan", "csv-scan", "weights", "config"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, name, text, load, want):
+    """A file saved as "UTF-8 with BOM" (Excel's "CSV UTF-8") reads as without it."""
+    p = tmp_path / name
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load(p) == want
 
 
 @pytest.mark.parametrize("line", ["element vertex abc", "element vertex", "element vertex 3 4",
