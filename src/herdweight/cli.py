@@ -126,24 +126,27 @@ def cmd_clean(args) -> int:
     cleaned_dir = out / "cleaned"
     cleaned_dir.mkdir(exist_ok=True)
 
-    first_of = {}   # output name -> the first scan with it; a later one fails alone
+    first_of, refused = {}, {}   # (key, value) -> the first scan with it; a later one fails alone
     for f in files:
-        first_of.setdefault(f.name, f)
-    todo = list(first_of.values())
+        repeat = next((k for k in (("output name", f.name), ("animal_id", f.stem)) if k in first_of), None)
+        if repeat:
+            refused[f] = HerdWeightError(f"{repeat[0]} {repeat[1]!r} repeats {first_of[repeat]}")
+        else:
+            first_of.update({("output name", f.name): f, ("animal_id", f.stem): f})
+    todo = [f for f in files if f not in refused]
     done = dict(zip(todo, map_tasks(partial(_guarded, _clean_one),
                                     [(str(f), config.cleaning, str(cleaned_dir)) for f in todo], args.jobs)))
-    results = [done[f] if f in done else HerdWeightError(f"output name {f.name!r} repeats {first_of[f.name]}")
-               for f in files]
+    results = [refused[f] if f in refused else done[f] for f in files]
     rows = [r for r in results if not isinstance(r, Exception)]
     failures = [(f, r) for f, r in zip(files, results) if isinstance(r, Exception)]
     # A failed scan's output from an earlier run goes, unless it is an
-    # input (--out/cleaned may be the input directory) or a repeat's, whose
-    # path is the first scan's. (realpath, unlike Path.resolve, does not
-    # raise on a symlink loop.)
+    # input (--out/cleaned may be the input directory) or an output name
+    # repeat's, whose path is the first scan's. (realpath, unlike
+    # Path.resolve, does not raise on a symlink loop.)
     inputs = {os.path.realpath(f) for f in files}
     for f, _ in failures:
         stale = cleaned_dir / f.name
-        if f in done and os.path.realpath(stale) not in inputs:
+        if first_of.get(("output name", f.name), f) is f and os.path.realpath(stale) not in inputs:
             stale.unlink(missing_ok=True)
 
     header = ["animal_id", "points_before", "points_after", "planes_removed"]

@@ -304,10 +304,9 @@ def ensemble_size_sweep(X, y, specs, m_values, *, k: int = 5, inner_k: int = 5,
                         seed: int = 0, alpha: float = 1.0) -> list[SweepRow]:
     """Nested-CV metrics for each ensemble size in ``m_values``.
 
-    All sizes share the same folds, rankings and base fits per outer
-    fold; only the combiner (``stacking.fit_combiner``, size choice
-    included) is refit per size, so row m equals
-    ``cross_validate(m_top=m)``.
+    All sizes share the same folds, rankings, base fits and stack-size
+    errors per outer fold; only the combiner (``stacking.fit_combiner``)
+    is refit per size, so row m equals ``cross_validate(m_top=m)``.
     """
     m_values = [int(m) for m in m_values]
     if not m_values:

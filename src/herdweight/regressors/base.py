@@ -270,8 +270,8 @@ _FAMILY_TABLE: Mapping[str, Family] = MappingProxyType({
                     partial(linear.fit_elastic_net, l1_ratio=1.0)),
     "elastic_net": Family({"alpha": setting(1.0, low=0), "l1_ratio": setting(0.5, low=0, high=1),
                            "max_sweeps": setting(10_000, low=1)}, True, linear.fit_elastic_net),
-    "huber": Family({"delta": setting(1.35, low=0, open_low=True), "max_iter": setting(100, low=1),
-                     "tol": setting(1e-8, low=0, open_low=True)}, True, linear.fit_huber),
+    "huber": Family({"delta": setting(1.35, low=0, open_low=True), "max_iter": setting(100, low=1)}, True,
+                    linear.fit_huber),
     "knn": Family({"k": setting(5, low=1)}, True, neighbors.fit_knn),
     "decision_tree": Family({"max_depth": _max_depth(None)}, False, trees.fit_decision_trees),
     "random_forest": Family({"n_trees": setting(300, low=1), "max_depth": _max_depth(None)}, False,

@@ -4,8 +4,8 @@ All of them work on standardised features. OLS goes through the
 pseudo-inverse, ridge through the closed form on centred data with an
 unpenalised intercept, lasso/elastic net through the exact
 piecewise-linear solution path on the Gram matrix (``max_sweeps`` caps
-its steps; there is no tolerance), and Huber through iteratively
-reweighted least squares.
+its steps; there is no tolerance), and Huber at a fixed scale through
+active-set Newton steps (``max_iter`` caps them; no tolerance either).
 """
 
 from __future__ import annotations
@@ -142,25 +142,43 @@ def _homotopy(Xc, yc, l1: float, l2: float, max_steps: int) -> np.ndarray:
     return w
 
 
-def fit_huber(spec: ModelSpec, Xs, y, mean, scale, *, delta: float,
-              max_iter: int, tol: float) -> LinearModel:
-    """IRLS Huber regression; delta applies to MAD-standardised residuals."""
+def fit_huber(spec: ModelSpec, Xs, y, mean, scale, *, delta: float, max_iter: int) -> LinearModel:
+    """Minimiser of sum rho(r_i / s) over the residuals r, for Huber's
+    rho(u) = u^2/2 where |u| <= delta and delta |u| - delta^2/2 beyond, and
+    s the OLS residuals' MAD over 0.6745; OLS where s is 0, as with no more
+    rows than coefficients. Solved from OLS by the finite active-set Newton
+    method (Madsen & Nielsen 1990) in an orthonormal basis of the design's
+    columns: a step solves the min-norm normal equations of the quadratic
+    set |r| <= c = delta s, or takes the gradient's part in the directions
+    they leave free, then searches the line exactly. When a step keeps the
+    quadratic set and the other residuals' signs, the minimiser is reached.
+    ``max_iter`` caps the steps; the coefficients are the minimum-norm ones.
+    """
     n = Xs.shape[0]
     design = np.hstack([Xs, np.ones((n, 1))])
-    theta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    for _ in range(max_iter):
-        resid = y - design @ theta
-        med = np.median(resid)
-        mad = np.median(np.abs(resid - med))
-        s = mad / 0.6745
-        if s <= 1e-12 * max(1.0, float(np.abs(y).max())):
-            break
-        u = np.abs(resid) / s
-        weights = np.where(u <= delta, 1.0, delta / u)
-        sw = np.sqrt(weights)
-        theta_new, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-        step = float(np.abs(theta_new - theta).max())
-        theta = theta_new
-        if step < tol * max(1.0, float(np.abs(theta).max())):
-            break
+    theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ theta
+    s = np.median(np.abs(resid - np.median(resid))) / 0.6745
+    if s > 1e-12 * max(1.0, float(np.abs(y).max())):
+        basis, sv, vt = np.linalg.svd(design, full_matrices=False)
+        basis, c, part = basis[:, :rank], delta * s, None
+        beta = basis.T @ y
+        for _ in range(max_iter):
+            r = y - basis @ beta
+            new = np.where(np.abs(r) <= c, 0.0, np.sign(r))
+            if (new == part).all():
+                break
+            part, gram = new, basis[new == 0].T @ basis[new == 0]
+            g = basis.T @ np.clip(r, -c, c)   # minus the gradient
+            h, _, quad_rank, _ = np.linalg.lstsq(gram, g, rcond=None)
+            free = g - gram @ h   # beyond rounding only where the quadratic set leaves directions free
+            h = free if quad_rank < rank and free @ free > 1e-18 * c * c * n else h
+            u = basis @ h
+            cross = ((r[u != 0, None] + [-c, c]) / u[u != 0, None]).ravel()
+            knots = np.sort(np.append(cross[cross > 0], 0.0))   # where residuals cross +-c
+            slope = -(np.clip(r - knots[:, None] * u, -c, c) @ u)   # the loss's along h, piecewise linear
+            j = int(np.argmax(slope >= 0))   # the first knot at or past the minimum
+            if j > 0:
+                beta += h * (knots[j - 1] + (knots[j] - knots[j - 1]) * slope[j - 1] / (slope[j - 1] - slope[j]))
+        theta = vt[:rank].T @ (beta / sv[:rank])
     return LinearModel(spec, mean, scale, theta[:-1], theta[-1])

@@ -23,7 +23,7 @@ Stacked Regressions, 1996).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,13 +148,17 @@ class InnerPass:
     order: tuple[int, ...]
     test: np.ndarray | None = None
     log: ProvenanceLog | None = None
+    size_errors: dict = field(default_factory=dict, init=False, compare=False)   # (alpha, y) -> all ranks
 
     def combiner(self, y, m_top: int, alpha: float) -> tuple[np.ndarray, float]:
         """``fit_combiner`` on the columns of the top ``m_top`` ranks."""
         if not 1 <= m_top <= len(self.order):
             raise ValueError(f"m_top must be in [1, {len(self.order)}], got {m_top}")
         rank_mapes = [e.mape for e in self.ranking.entries[:m_top]]
-        return fit_combiner(self.oof[:, self.order[:m_top]], y, self.folds, rank_mapes, alpha)
+        meta, key = np.ascontiguousarray(self.oof[:, self.order]), (alpha, y.tobytes())
+        if key not in self.size_errors:
+            self.size_errors[key] = stack_size_errors(meta, y, self.folds, alpha)
+        return fit_combiner(meta[:, :m_top], y, self.folds, rank_mapes, alpha, self.size_errors[key])
 
 
 def inner_pass(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None,
@@ -187,16 +191,27 @@ def ridge_combiner(meta: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.nd
     return w, float(y_mean - col_mean @ w)
 
 
+def stack_size_errors(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment, alpha: float) -> np.ndarray:
+    """Row s - 1: each animal's absolute percentage error under the ridge
+    combiner on the first s columns of ``meta``, fit on the other folds."""
+    ape = np.empty((meta.shape[1], len(y)))
+    for f in range(folds.k):
+        tr, te = folds.train_indices(f), folds.test_indices(f)
+        for s in range(1, meta.shape[1] + 1):
+            w, b = ridge_combiner(meta[tr, :s], y[tr], alpha)
+            ape[s - 1, te] = np.abs(meta[te, :s] @ w + b - y[te]) / y[te]
+    return ape
+
+
 def choose_stack_size(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
-                      rank_mapes, alpha: float) -> int:
+                      rank_mapes, alpha: float, size_errors=None) -> int:
     """How many leading columns of ``meta`` the combiner uses.
 
     ``meta`` holds the top-m out-of-fold columns in rank order, ``folds``
     is the assignment that produced them and ``rank_mapes`` their ranking
-    MAPEs. Each candidate size s is scored by fitting the ridge combiner on
-    the first s columns of all folds but one and taking the per-animal
-    absolute percentage error on that fold. The smallest size within one
-    standard error of the best mean wins. A size that cuts between two
+    MAPEs. Each candidate size s is scored by its row of ``size_errors``
+    (``stack_size_errors``, made if not given). The smallest size within
+    one standard error of the best mean wins. A size that cuts between two
     models whose ranking MAPEs tie exactly is no candidate, except s = m:
     the tie-break is declaration order, so such a cut would be arbitrary.
     """
@@ -204,14 +219,9 @@ def choose_stack_size(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
         raise NonPositiveTarget("targets must be > 0 for percentage error")
     m = meta.shape[1]
     sizes = [s for s in range(1, m) if rank_mapes[s - 1] != rank_mapes[s]] + [m]
-    if len(sizes) == 1:
-        return m
-    ape = np.empty((len(sizes), len(y)))
-    for f in range(folds.k):
-        tr, te = folds.train_indices(f), folds.test_indices(f)
-        for i, s in enumerate(sizes):
-            w, b = ridge_combiner(meta[tr, :s], y[tr], alpha)
-            ape[i, te] = np.abs(meta[te, :s] @ w + b - y[te]) / y[te]
+    if size_errors is None:
+        size_errors = stack_size_errors(meta, y, folds, alpha)
+    ape = size_errors[[s - 1 for s in sizes]]
     mean = ape.mean(axis=1)
     best = int(np.argmin(mean))
     bound = mean[best] + ape[best].std(ddof=1) / np.sqrt(len(y))
@@ -219,7 +229,7 @@ def choose_stack_size(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
 
 
 def fit_combiner(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
-                 rank_mapes, alpha: float) -> tuple[np.ndarray, float]:
+                 rank_mapes, alpha: float, size_errors=None) -> tuple[np.ndarray, float]:
     """Ridge combiner on the leading ``choose_stack_size`` columns of
     ``meta``; returns one weight per column it uses.
 
@@ -228,7 +238,7 @@ def fit_combiner(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
     """
     meta = np.ascontiguousarray(meta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    size = choose_stack_size(meta, y, folds, rank_mapes, alpha)
+    size = choose_stack_size(meta, y, folds, rank_mapes, alpha, size_errors)
     return ridge_combiner(meta[:, :size], y, alpha)
 
 

@@ -159,6 +159,25 @@ def test_clean_repeated_output_name_fails_alone(tmp_path, capsys):
         assert (out / "cleaned" / "cow.xyz").read_text().count("\n") == int(row[2])
 
 
+def test_clean_repeated_animal_id_fails_alone(tmp_path, capsys):
+    """cow.ply and cow.xyz would both give the animal id cow: the later
+    fails, summary.csv lists cow once, and the later's output from an
+    earlier run goes."""
+    rng = np.random.default_rng(7)
+    scans, out = tmp_path / "scans", tmp_path / "out"
+    scans.mkdir()
+    save_point_cloud(PointCloud(rng.normal(size=(40, 3))), scans / "cow.xyz", XYZ_ASCII)
+    assert main(["clean", str(scans), "--out", str(out)]) == 0
+    save_point_cloud(PointCloud(rng.normal(size=(50, 3))), scans / "cow.ply", PLY_BINARY_LE)
+    for jobs in ("1", "2"):
+        assert main(["clean", str(scans), "--out", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {scans / 'cow.xyz'}: animal_id 'cow' repeats {scans / 'cow.ply'}\n"
+        [row] = _read_csv(out / "summary.csv")[1:]
+        assert row[:2] == ["cow", "50"]
+        assert [p.name for p in (out / "cleaned").iterdir()] == ["cow.ply"]
+
+
 def test_clean_jobs_independent(scene_dir, tmp_path):
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert main(["clean", str(scene_dir), "--out", str(out1), "--jobs", "1"]) == 0
@@ -633,6 +652,34 @@ def test_cli_import_loads_no_scipy_spatial():
                           capture_output=True, text=True, env=_env_with_package(), timeout=60,
                           check=True)
     assert done.stdout == "False\n"
+
+
+def test_cv_and_train_load_no_scipy(tmp_path):
+    """Commands that build no hull import no scipy module: cv and train on
+    a dataset of random features, with every family, Huber's Newton steps
+    included."""
+    rng = np.random.default_rng(3)
+    features = rng.uniform(0.5, 2.0, size=(100, len(FEATURE_NAMES)))
+    weights = 400.0 + features @ rng.uniform(0.0, 20.0, size=len(FEATURE_NAMES)) + rng.normal(size=100)
+    dataset = tmp_path / "herd.csv"
+    save_dataset_csv(HerdDataset(ids=[f"a{i}" for i in range(100)], features=features, weights=weights), dataset)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "models": {"specs": ["ols", "ridge", "lasso", "elastic_net", "huber", "knn", "decision_tree",
+                             *({"name": f, "family": f, "params": {key: 3}} for f, key in (
+                                 ("random_forest", "n_trees"), ("extra_trees", "n_trees"),
+                                 ("adaboost", "n_rounds"), ("gradient_boosting", "n_rounds")))]},
+        "evaluation": {"k": 2, "inner_k": 2, "seed": 0},
+    }))
+    script = ("import sys\n"
+              "from herdweight.cli import main\n"
+              "for command in ('cv', 'train'):\n"
+              f"    assert main([command, {str(dataset)!r}, '--config', {str(config)!r},"
+              f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_env_with_package(), timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv, n_animals", [
