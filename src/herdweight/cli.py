@@ -1,10 +1,10 @@
 """Batch command-line interface.
 
 Subcommands: clean, features, cv, train, predict, fuse-sim, and sweep
-(an alias for cv --sweep). Every run is deterministic given its inputs,
-config and seed, writes the resolved config next to its outputs, and
-exits 0 on success, 1 on partial/data failure, 2 on usage or config
-errors.
+(cv --sweep, by default from 2 up to the number of specs). Every run is
+deterministic given its inputs, config and seed, writes the resolved
+config next to its outputs, and exits 0 on success, 1 on partial/data
+failure, 2 on usage or config errors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .dataset import (
     load_weights_csv,
     save_dataset_csv,
 )
-from .errors import ConfigError, HerdWeightError, MissingWeight, ParseError
+from .errors import ConfigError, HerdWeightError, MissingWeight, NonPositiveTarget, ParseError
 from .evaluation import SweepRow, kfold_split, map_tasks, nested_cv
 from .features import extract_feature_vector
 from .files import read_json, write_csv, write_json
@@ -182,6 +182,10 @@ def cmd_features(args) -> int:
         if stem not in weights:
             failures.append((f, MissingWeight(f"no weight row for id {stem!r}")))
             continue
+        if not 0.0 < weights[stem] < np.inf:
+            failures.append((f, NonPositiveTarget(f"weight of id {stem!r} must be finite and > 0 kg, "
+                                                  f"got {weights[stem]!r}")))
+            continue
         if stem in first_of:
             failures.append((f, HerdWeightError(f"animal_id {stem!r} repeats {first_of[stem]}")))
             continue
@@ -218,7 +222,11 @@ def _write_ranking_csv(ranking, path: Path) -> None:
 
 def cmd_cv(args) -> int:
     config = _config(args)
-    m_values = _parse_sweep(args.sweep, len(config.specs)) if args.sweep else []
+    n_specs = len(config.specs)
+    if args.sweep:
+        m_values = _parse_sweep(args.sweep, n_specs)
+    else:
+        m_values = list(range(min(2, n_specs), n_specs + 1)) if args.command == "sweep" else []
     dataset = load_dataset_csv(args.dataset)
     X, y = dataset.matrices()
     out = _prepare_out(args)
@@ -356,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_settings(p, ("--inner-k", "evaluation.inner_k"), ("--seed", "evaluation.seed"),
                       ("--m-top", "stacking.m_top"), ("--alpha", "stacking.alpha"))
         if name != "train":
-            p.add_argument("--sweep", default="2..11" if name == "sweep" else None,
-                           help="ensemble sizes LO..HI")
+            p.add_argument("--sweep", help="ensemble sizes LO..HI"
+                           + (" (default: 2 up to the number of specs)" if name == "sweep" else ""))
             p.add_argument("--audit", action="store_true", help="run the leakage audit")
             p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, at most one per task")
         p.set_defaults(func=func)

@@ -68,6 +68,12 @@ def load_dataset_csv(path: str | Path) -> HerdDataset:
             raise ParseError(f"{path}: header does not match the feature schema")
 
     _, rows_at, values = _read_table(path, check)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1) | ~(values[:, -1] > 0))
+    if bad.size:
+        (lineno, _), row = rows_at[bad[0]], values[bad[0]]
+        if not np.isfinite(row[:-1]).all():
+            raise NonFiniteInput(f"{path}:{lineno}: features contain NaN or Inf")
+        raise NonPositiveTarget(f"{path}:{lineno}: weight must be finite and > 0 kg, got {float(row[-1])!r}")
     return HerdDataset(ids=_unique_ids(path, rows_at), features=values[:, :-1].copy(),
                        weights=values[:, -1].copy())
 

@@ -76,10 +76,6 @@ class NonPositiveTarget(HerdWeightError):
     """A weight target <= 0 kg; percentage error would be undefined."""
 
 
-class ZeroVarianceTarget(HerdWeightError):
-    """R-squared is undefined: constant targets, non-constant predictions."""
-
-
 class InvalidSchedule(HerdWeightError):
     """Noise schedule is empty, negative, or increasing."""
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidK, LengthMismatch, NonPositiveTarget, ZeroVarianceTarget
+from .errors import InvalidK, LengthMismatch, NonPositiveTarget
 
 if TYPE_CHECKING:
     from .stacking import InnerPass, ModelRanking
@@ -72,7 +72,8 @@ def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
 class MetricTriple:
     """R^2, MAE (kg) and MAPE (%) for one prediction set.
 
-    r2 is NaN for a single sample, where it is undefined.
+    r2 is NaN where it is undefined: for a single sample, and for
+    constant targets with predictions that do not match them.
     """
 
     r2: float
@@ -85,7 +86,7 @@ def compute_metrics(y, y_pred) -> MetricTriple:
 
     R^2 = 1 - SS_res/SS_tot; MAE = mean |y - y_hat|; MAPE = 100 * mean
     |y - y_hat| / y. Constant targets give R^2 = 0 when predictions match
-    them exactly and raise ZeroVarianceTarget otherwise.
+    them exactly and NaN otherwise, as a single sample does.
     """
     y = np.asarray(y, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -96,15 +97,13 @@ def compute_metrics(y, y_pred) -> MetricTriple:
     err = y - y_pred
     mae = float(np.abs(err).mean())
     mape = float(100.0 * (np.abs(err) / y).mean())
-    if y.size < 2:
-        return MetricTriple(r2=float("nan"), mae=mae, mape=mape)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     ss_res = float((err**2).sum())
-    if ss_tot == 0.0:
-        if ss_res == 0.0:
-            return MetricTriple(r2=0.0, mae=mae, mape=mape)
-        raise ZeroVarianceTarget("constant targets with non-matching predictions")
-    return MetricTriple(r2=1.0 - ss_res / ss_tot, mae=mae, mape=mape)
+    if ss_tot > 0.0:
+        r2 = 1.0 - ss_res / ss_tot
+    else:   # constant targets, as a single sample's are
+        r2 = 0.0 if ss_res == 0.0 and y.size > 1 else float("nan")
+    return MetricTriple(r2=r2, mae=mae, mape=mape)
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ class NestedCV:
         """Held-out metrics of the stack over the top ``m_top`` members."""
         triples = []
         for fold, inner in enumerate(self.folds):
-            w, b = inner.combiner(self.y[self.outer.train_indices(fold)], m_top, alpha)
+            w, b = inner.combiner(m_top, alpha)
             triples.append(compute_metrics(self.y[self.outer.test_indices(fold)],
                                            inner.test[:, :w.size] @ w + b))
         return report_from_triples(triples)
@@ -305,7 +304,7 @@ def ensemble_size_sweep(X, y, specs, m_values, *, k: int = 5, inner_k: int = 5,
     """Nested-CV metrics for each ensemble size in ``m_values``.
 
     All sizes share the same folds, rankings, base fits and stack-size
-    errors per outer fold; only the combiner (``stacking.fit_combiner``)
+    errors per outer fold; only the combiner (``stacking.InnerPass.combiner``)
     is refit per size, so row m equals ``cross_validate(m_top=m)``.
     """
     m_values = [int(m) for m in m_values]

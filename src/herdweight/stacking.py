@@ -130,35 +130,37 @@ def rank_base_models(y, oof: np.ndarray, folds: FoldAssignment,
 class InnerPass:
     """Every spec fit once on every fold of ``folds``, and ranked.
 
-    ``oof`` is the out-of-fold matrix with columns in spec order, and
-    ``order`` the spec index of each rank. The combiner of a stack of any
-    size is fit from this record with no further base fit.
+    ``y`` holds the targets of the rows the pass was fit on, and ``oof``
+    its out-of-fold matrix: C-ordered, with columns in rank order.
+    ``order`` is the spec index of each rank. The combiner of a stack of
+    any size is fit from this record with no further base fit.
 
     In nested CV this is the one record of an outer fold, made on its
     training rows. ``test`` then holds each spec refit on all of them, in
-    the same batches, and predicted on the held-out rows: C-ordered, with
-    columns in rank order, so a stack of any size is scored from it with
-    no further fit. ``log``, kept for the leakage audit, holds every fit
-    the fold makes: inner out-of-fold fits, refits and combiner.
+    the same batches, and predicted on the held-out rows, laid out as
+    ``oof``, so a stack of any size is scored from it with no further fit.
+    ``log``, kept for the leakage audit, holds every fit the fold makes:
+    inner out-of-fold fits, refits and combiner.
     """
 
     folds: FoldAssignment
+    y: np.ndarray
     oof: np.ndarray
     ranking: ModelRanking
     order: tuple[int, ...]
     test: np.ndarray | None = None
     log: ProvenanceLog | None = None
-    size_errors: dict = field(default_factory=dict, init=False, compare=False)   # (alpha, y) -> all ranks
+    size_errors: dict = field(default_factory=dict, init=False, compare=False)   # alpha -> all ranks
 
-    def combiner(self, y, m_top: int, alpha: float) -> tuple[np.ndarray, float]:
-        """``fit_combiner`` on the columns of the top ``m_top`` ranks."""
+    def combiner(self, m_top: int, alpha: float) -> tuple[np.ndarray, float]:
+        """Ridge combiner on the leading ``choose_stack_size`` of the top
+        ``m_top`` ranks; returns one weight per rank it uses."""
         if not 1 <= m_top <= len(self.order):
             raise ValueError(f"m_top must be in [1, {len(self.order)}], got {m_top}")
-        rank_mapes = [e.mape for e in self.ranking.entries[:m_top]]
-        meta, key = np.ascontiguousarray(self.oof[:, self.order]), (alpha, y.tobytes())
-        if key not in self.size_errors:
-            self.size_errors[key] = stack_size_errors(meta, y, self.folds, alpha)
-        return fit_combiner(meta[:, :m_top], y, self.folds, rank_mapes, alpha, self.size_errors[key])
+        if alpha not in self.size_errors:
+            self.size_errors[alpha] = stack_size_errors(self.oof, self.y, self.folds, alpha)
+        size = choose_stack_size(self.size_errors[alpha], [e.mape for e in self.ranking.entries[:m_top]])
+        return ridge_combiner(self.oof[:, :size], self.y, alpha)
 
 
 def inner_pass(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None,
@@ -166,13 +168,15 @@ def inner_pass(X, y, specs, folds: FoldAssignment, *, log=None, sample_ids=None,
     """Fit every spec on every fold of ``folds`` once and rank the specs;
     with held-out rows ``X_test``, also refit every spec on all rows in
     the same batches and predict them."""
+    y = np.asarray(y, dtype=np.float64)
     oof = oof_predictions(X, y, specs, folds, log=log, sample_ids=sample_ids, X_test=X_test)
-    oof, test = oof[:len(y)], oof[len(y):]
-    ranking, order = rank_base_models(y, oof, folds, specs)
+    ranking, order = rank_base_models(y, oof[:len(y)], folds, specs)
     # column_stack, not fancy indexing: a C-ordered matrix keeps the
-    # prediction's BLAS summation order, and so its last bit, fixed
-    test = None if X_test is None else np.column_stack([test[:, i] for i in order])
-    return InnerPass(folds=folds, oof=oof, ranking=ranking, order=order, test=test, log=log)
+    # combiner's and the prediction's BLAS summation order, and so their
+    # last bits, fixed
+    ranked = np.column_stack([oof[:, i] for i in order])
+    return InnerPass(folds=folds, y=y, oof=ranked[:len(y)], ranking=ranking, order=order,
+                     test=None if X_test is None else ranked[len(y):], log=log)
 
 
 def ridge_combiner(meta: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
@@ -194,6 +198,8 @@ def ridge_combiner(meta: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.nd
 def stack_size_errors(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment, alpha: float) -> np.ndarray:
     """Row s - 1: each animal's absolute percentage error under the ridge
     combiner on the first s columns of ``meta``, fit on the other folds."""
+    if (y <= 0).any():
+        raise NonPositiveTarget("targets must be > 0 for percentage error")
     ape = np.empty((meta.shape[1], len(y)))
     for f in range(folds.k):
         tr, te = folds.train_indices(f), folds.test_indices(f)
@@ -203,43 +209,22 @@ def stack_size_errors(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment, al
     return ape
 
 
-def choose_stack_size(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
-                      rank_mapes, alpha: float, size_errors=None) -> int:
-    """How many leading columns of ``meta`` the combiner uses.
+def choose_stack_size(size_errors: np.ndarray, rank_mapes) -> int:
+    """How many of the top m = len(``rank_mapes``) ranks the combiner uses.
 
-    ``meta`` holds the top-m out-of-fold columns in rank order, ``folds``
-    is the assignment that produced them and ``rank_mapes`` their ranking
-    MAPEs. Each candidate size s is scored by its row of ``size_errors``
-    (``stack_size_errors``, made if not given). The smallest size within
-    one standard error of the best mean wins. A size that cuts between two
-    models whose ranking MAPEs tie exactly is no candidate, except s = m:
-    the tie-break is declaration order, so such a cut would be arbitrary.
+    Row s - 1 of ``size_errors`` (``stack_size_errors``) scores size s;
+    rows past m are not read. The smallest size within one standard error
+    of the best mean wins. A size that cuts between two ranks whose
+    ranking MAPEs tie exactly is no candidate, except s = m: the
+    tie-break is declaration order, so such a cut would be arbitrary.
     """
-    if (y <= 0).any():
-        raise NonPositiveTarget("targets must be > 0 for percentage error")
-    m = meta.shape[1]
+    m = len(rank_mapes)
     sizes = [s for s in range(1, m) if rank_mapes[s - 1] != rank_mapes[s]] + [m]
-    if size_errors is None:
-        size_errors = stack_size_errors(meta, y, folds, alpha)
     ape = size_errors[[s - 1 for s in sizes]]
     mean = ape.mean(axis=1)
     best = int(np.argmin(mean))
-    bound = mean[best] + ape[best].std(ddof=1) / np.sqrt(len(y))
+    bound = mean[best] + ape[best].std(ddof=1) / np.sqrt(ape.shape[1])
     return next(s for s, mu in zip(sizes, mean) if mu <= bound)
-
-
-def fit_combiner(meta: np.ndarray, y: np.ndarray, folds: FoldAssignment,
-                 rank_mapes, alpha: float, size_errors=None) -> tuple[np.ndarray, float]:
-    """Ridge combiner on the leading ``choose_stack_size`` columns of
-    ``meta``; returns one weight per column it uses.
-
-    ``meta`` is taken in C order whatever its layout: the BLAS sums, and so
-    the last bits of the weights, depend on it.
-    """
-    meta = np.ascontiguousarray(meta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    size = choose_stack_size(meta, y, folds, rank_mapes, alpha, size_errors)
-    return ridge_combiner(meta[:, :size], y, alpha)
 
 
 def fit_stack(X, y, specs, inner: InnerPass, *, m_top: int,
@@ -248,7 +233,7 @@ def fit_stack(X, y, specs, inner: InnerPass, *, m_top: int,
     pass over ``specs``; refit the members it uses on all data."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    weights, intercept = inner.combiner(y, m_top, alpha)
+    weights, intercept = inner.combiner(m_top, alpha)
     used = [specs[i] for i in inner.order[:len(weights)]]
     models = [fit_base(spec, X, y, [np.arange(len(y))])[0] for spec in used]
     return StackedEnsemble(specs=used, models=models, weights=weights,

@@ -292,6 +292,22 @@ def test_features_missing_weight(tmp_path, capsys):
     assert "no weight row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["0.0", "-3", "nan", "inf"])
+def test_features_bad_weight_fails_alone(tmp_path, capsys, bad):
+    d = tmp_path / "clouds"
+    d.mkdir()
+    rng = np.random.default_rng(2)
+    for name in ("a", "b", "c"):
+        save_point_cloud(PointCloud(rng.normal(size=(40, 3))), d / f"{name}.xyz", XYZ_ASCII)
+    weights = tmp_path / "w.csv"
+    weights.write_text(f"animal_id,weight_kg\na,500\nb,{bad}\nc,710\n")
+    out = tmp_path / "out"
+    assert main(["features", str(d), str(weights), "--out", str(out)]) == 1
+    assert [r[0] for r in _read_csv(out / "dataset.csv")[1:]] == ["a", "c"]
+    assert capsys.readouterr().err == (f"error: {d / 'b.xyz'}: weight of id 'b' must be finite "
+                                       f"and > 0 kg, got {float(bad)!r}\n")
+
+
 def test_features_repeated_stem_fails_alone(tmp_path, capsys):
     """cow1.ply and cow1.xyz give one id: the later file fails, the rest is written."""
     d = tmp_path / "clouds"
@@ -354,6 +370,31 @@ def test_cv_sweep_rows(herd_csv, small_config, tmp_path):
     rows = _read_csv(out / "sweep.csv")
     assert rows[0] == ["m", "r2_mean", "r2_std", "mae_mean", "mae_std", "mape_mean", "mape_std"]
     assert [r[0] for r in rows[1:]] == ["2", "3"]
+
+
+def test_sweep_defaults_to_the_spec_count(herd_csv, small_config, tmp_path):
+    """sweep without --sweep runs 2 up to the number of specs, or 1 for one spec."""
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"models": {"specs": ["ols"]}, "evaluation": {"k": 3, "inner_k": 3}}))
+    for config, sizes in ((small_config, ["2", "3"]), (one, ["1"])):
+        out = tmp_path / config.stem
+        assert main(["sweep", str(herd_csv), "--config", str(config), "--out", str(out)]) == 0
+        assert [r[0] for r in _read_csv(out / "sweep.csv")[1:]] == sizes
+
+
+def test_train_with_a_fold_of_equal_weights(tmp_path):
+    """An inner fold whose targets are all equal scores R^2 = NaN, and
+    training goes on."""
+    ids, clouds, weights = make_herd(n_animals=12, points_per_animal=300, seed=5)
+    weights = np.array(weights, dtype=np.float64)
+    weights[kfold_split(12, 3, 0).test_indices(0)] = 450.0
+    path = tmp_path / "herd.csv"
+    save_dataset_csv(HerdDataset(ids, np.vstack([extract_feature_vector(c).values for c in clouds]),
+                                 weights), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"models": {"specs": ["ols", "ridge", "knn"]}, "evaluation": {"inner_k": 3}}))
+    assert main(["train", str(path), "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    assert [r[2] for r in _read_csv(tmp_path / "t" / "ranking.csv")[1:]] == ["nan"] * 3
 
 
 @pytest.fixture()

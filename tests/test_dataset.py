@@ -10,7 +10,7 @@ from herdweight.dataset import (
     load_weights_csv,
     save_dataset_csv,
 )
-from herdweight.errors import NonPositiveTarget, ParseError
+from herdweight.errors import NonFiniteInput, NonPositiveTarget, ParseError
 from herdweight.features import FEATURE_NAMES
 
 
@@ -39,6 +39,23 @@ def test_validation():
         HerdDataset(ids=["x", "y"], features=ds.features[:2], weights=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         HerdDataset(ids=["x"], features=np.zeros((1, 5)), weights=np.array([1.0]))
+
+
+@pytest.mark.parametrize("column, value, error, message", [
+    (-1, "0.0", NonPositiveTarget, "weight must be finite and > 0 kg, got 0.0"),
+    (-1, "inf", NonPositiveTarget, "weight must be finite and > 0 kg, got inf"),
+    (5, "nan", NonFiniteInput, "features contain NaN or Inf"),
+])
+def test_load_names_the_line_of_a_bad_value(tmp_path, column, value, error, message):
+    p = tmp_path / "d.csv"
+    save_dataset_csv(_dataset(), p)
+    lines = p.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[column] = value
+    lines[3] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=f"d.csv:4: {message}$"):
+        load_dataset_csv(p)
 
 
 def test_header_mismatch(tmp_path):

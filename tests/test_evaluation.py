@@ -9,13 +9,13 @@ from herdweight.errors import (
     InvalidK,
     LengthMismatch,
     NonPositiveTarget,
-    ZeroVarianceTarget,
 )
 from herdweight.evaluation import (
     compute_metrics,
     cross_validate,
     ensemble_size_sweep,
     kfold_split,
+    nested_cv,
     report_from_triples,
 )
 from herdweight.regressors import ModelSpec
@@ -76,8 +76,7 @@ def test_metrics_errors():
         compute_metrics([1.0, 2.0], [1.0])
     with pytest.raises(NonPositiveTarget):
         compute_metrics([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ZeroVarianceTarget):
-        compute_metrics([5.0, 5.0], [5.0, 6.0])
+    assert math.isnan(compute_metrics([5.0, 5.0], [5.0, 6.0]).r2)
     constant = compute_metrics([5.0, 5.0], [5.0, 5.0])
     assert constant.r2 == 0.0
 
@@ -170,6 +169,19 @@ def test_nested_cv_starts_at_most_one_worker_per_outer_fold(pool_sizes):
         pooled = cross_validate(X, y, specs, k=3, inner_k=3, seed=4, jobs=jobs)
         assert pooled.report.to_json_dict() == serial.report.to_json_dict()
     assert pool_sizes == [2, 3, 3]
+
+
+def test_metrics_at_a_second_alpha_match_a_fresh_pass():
+    """Each inner pass keeps its stack-size errors per alpha, so scoring
+    at alpha 1.0 first leaves the scores at 0.5 as a fresh pass gives them."""
+    X, y = _herd(n=24, seed=3, noise=3.0)
+    specs = [ModelSpec(name="ols", family="ols"), ModelSpec(name="knn", family="knn"),
+             ModelSpec(name="tree", family="decision_tree", params={"max_depth": 3})]
+    cv = nested_cv(X, y, specs, k=3, inner_k=3, seed=2)
+    first = cv.metrics(3, 1.0).to_json_dict()
+    assert cv.metrics(3, 0.5).to_json_dict() != first
+    fresh = nested_cv(X, y, specs, k=3, inner_k=3, seed=2).metrics(3, 0.5)
+    assert cv.metrics(3, 0.5).to_json_dict() == fresh.to_json_dict()
 
 
 def test_sweep_duplicate_models_constant_metrics():

@@ -9,16 +9,19 @@ from herdweight.errors import InvalidHyperparameter, NonPositiveTarget
 from herdweight.evaluation import kfold_split
 from herdweight.regressors import ModelSpec, fit
 from herdweight.stacking import (
+    InnerPass,
+    ModelRanking,
+    RankedModel,
     StackedEnsemble,
     choose_stack_size,
     ensemble_from_dict,
     ensemble_to_dict,
-    fit_combiner,
     fit_stack,
     inner_pass,
     oof_predictions,
     predict_stack,
     ridge_combiner,
+    stack_size_errors,
 )
 
 
@@ -162,12 +165,19 @@ def _near_perfect_and_noise(n=40, n_noise=4, seed=0):
     return np.column_stack([good, noise]), y
 
 
+def _pass_over(meta, y, folds, rank_mapes):
+    """An inner pass whose rank-ordered out-of-fold matrix is ``meta``."""
+    ranking = ModelRanking(tuple(RankedModel(f"m{r}", mape, 0.0, 0.0) for r, mape in enumerate(rank_mapes)))
+    return InnerPass(folds=folds, y=y, oof=np.ascontiguousarray(meta), ranking=ranking,
+                     order=tuple(range(len(rank_mapes))))
+
+
 def test_size_rule_drops_pure_noise_columns():
     meta, y = _near_perfect_and_noise()
     folds = kfold_split(len(y), 5, seed=1)
     rank_mapes = [0.1, 10.0, 11.0, 12.0, 13.0]
-    assert choose_stack_size(meta, y, folds, rank_mapes, 1.0) == 1
-    w, b = fit_combiner(meta, y, folds, rank_mapes, 1.0)
+    assert choose_stack_size(stack_size_errors(meta, y, folds, 1.0), rank_mapes) == 1
+    w, b = _pass_over(meta, y, folds, rank_mapes).combiner(5, 1.0)
     assert w.shape == (1,)
     w1, b1 = ridge_combiner(meta[:, :1], y, 1.0)
     assert w[0] == w1[0] and b == b1
@@ -177,34 +187,22 @@ def test_size_rule_never_cuts_a_ranking_tie():
     meta, y = _near_perfect_and_noise(n_noise=1)
     tied = np.column_stack([meta[:, 0], meta[:, 0], meta[:, 1]])
     folds = kfold_split(len(y), 5, seed=1)
+    errors = stack_size_errors(tied, y, folds, 1.0)
     # size 1 would win on its own, but it splits the tied pair
-    assert choose_stack_size(meta[:, :2], y, folds, [0.1, 10.0], 1.0) == 1
-    assert choose_stack_size(tied, y, folds, [0.1, 0.1, 10.0], 1.0) == 2
-    w, _ = fit_combiner(tied, y, folds, [0.1, 0.1, 10.0], 1.0)
+    assert choose_stack_size(stack_size_errors(meta[:, :2], y, folds, 1.0), [0.1, 10.0]) == 1
+    assert choose_stack_size(errors, [0.1, 0.1, 10.0]) == 2
+    w, _ = _pass_over(tied, y, folds, [0.1, 0.1, 10.0]).combiner(3, 1.0)
     assert w.shape == (2,)
     assert w[0] == pytest.approx(w[1], abs=1e-9) and w[0] != 0.0
     # a tie at every cut leaves only the full size
-    assert choose_stack_size(tied, y, folds, [0.1, 0.1, 0.1], 1.0) == 3
-
-
-def test_fit_combiner_ignores_memory_layout():
-    """C- and F-ordered copies of one meta matrix give the same bits; fed
-    as given, the F copy moves the last bits of the weights on this input."""
-    rng = np.random.default_rng(0)
-    y = rng.uniform(200.0, 600.0, 52)
-    meta = y[:, None] * (1.0 + 0.01 * rng.normal(size=(52, 5))) + rng.normal(0.0, 5.0, (52, 5))
-    folds = kfold_split(len(y), 5, seed=0)
-    rank_mapes = [0.6, 0.9, 1.2, 1.5, 1.8]
-    w_c, b_c = fit_combiner(np.ascontiguousarray(meta), y, folds, rank_mapes, 1.0)
-    w_f, b_f = fit_combiner(np.asfortranarray(meta), y, folds, rank_mapes, 1.0)
-    assert w_c.tobytes() == w_f.tobytes() and b_c == b_f
+    assert choose_stack_size(errors, [0.1, 0.1, 0.1]) == 3
 
 
 def test_size_rule_needs_positive_targets():
     meta, y = _near_perfect_and_noise(n_noise=1)
     folds = kfold_split(len(y), 5, seed=1)
     with pytest.raises(NonPositiveTarget):
-        choose_stack_size(meta, y - 300.0, folds, [0.1, 10.0], 1.0)
+        stack_size_errors(meta, y - 300.0, folds, 1.0)
 
 
 def test_identical_base_models_share_weight():
@@ -221,11 +219,15 @@ def test_inner_pass_test_columns_are_refits_in_rank_order():
     X_test, _ = _linear_herd(n=7, seed=1)
     specs = [ModelSpec(name="mean", family="knn", params={"k": 30}),
              ModelSpec(name="tree", family="decision_tree", params={"max_depth": 3}), OLS]
-    inner = inner_pass(X, y, specs, kfold_split(len(y), 5, 3), X_test=X_test)
+    folds = kfold_split(len(y), 5, 3)
+    inner = inner_pass(X, y, specs, folds, X_test=X_test)
     assert inner.order == (2, 1, 0)
     assert inner.test.shape == (7, 3) and inner.test.flags.c_contiguous
+    assert inner.oof.shape == (30, 3) and inner.oof.flags.c_contiguous
+    oof = oof_predictions(X, y, specs, folds)
     for r, i in enumerate(inner.order):
         np.testing.assert_array_equal(inner.test[:, r], fit(specs[i], X, y).predict(X_test))
+        np.testing.assert_array_equal(inner.oof[:, r], oof[:, i])
     assert inner_pass(X, y, specs, kfold_split(len(y), 5, 3)).test is None
 
 
